@@ -568,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, help="flush at this many queued "
                          "requests (1 disables cross-episode batching)")
     p_serve.add_argument("--max-wait-us", dest="max_wait_us", type=int,
-                         default=None, help="flush an under-full batch after "
-                         "this many microseconds")
+                         default=None, help="longest a flush keeps "
+                         "collecting after its first request, in microseconds "
+                         "(default 2000)")
     p_serve.add_argument("--queue-cap", dest="queue_cap", type=int,
                          default=None, help="pending-request cap; beyond it "
                          "requests get retry_after replies")

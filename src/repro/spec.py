@@ -513,7 +513,9 @@ class ServeSpec:
     """flush the decision queue at this many collected requests (1 disables
     cross-episode batching — every request answered by its own forward)"""
     max_wait_us: int = 2000
-    """flush an under-full batch after this many microseconds"""
+    """longest a flush keeps collecting after its first request, in
+    microseconds (a flush goes out earlier once the event loop has no new
+    request for it; 0 flushes what is queued without collecting)"""
     queue_cap: int = 256
     """pending-request cap; arrivals beyond it get RETRY_AFTER replies"""
     deadline_ms: float = 1000.0

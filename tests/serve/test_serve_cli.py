@@ -3,6 +3,7 @@ and ``repro evaluate --server`` against it (the CI serve-smoke pair)."""
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -112,3 +113,33 @@ def test_evaluate_cli_against_a_live_server(tmp_path, trained_checkpoint):
         proc.send_signal(signal.SIGTERM)
         proc.communicate(timeout=30)
     assert proc.returncode == 0
+
+
+@pytest.mark.slow
+def test_sigterm_with_an_idle_connection_drains_without_traceback(
+    tmp_path, trained_checkpoint
+):
+    """A client that pinged and then went quiet is still parked in the
+    server's ``readline`` at SIGTERM; the drain must close it and let its
+    handler finish instead of the loop cancelling it mid-read."""
+    sock_path = str(tmp_path / "idle.sock")
+    proc = spawn_server(sock_path, trained_checkpoint)
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(sock_path)
+            fh = sock.makefile("rwb")
+            fh.write(b'{"op":"ping"}\n')
+            fh.flush()
+            assert fh.readline() == b'{"op":"pong"}\n'
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            assert fh.readline() == b""  # the drain closed the connection
+            fh.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err, err
+    assert "drained:" in out
