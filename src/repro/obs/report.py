@@ -3,7 +3,10 @@
 ``python -m repro report-run trace.jsonl [--metrics metrics.csv]`` produces
 one readable document per run: the run metadata header, per-span-name
 latency statistics (count / total / mean / p50 / p90 / p99 — the paper's
-Fig. 7 per-decision numbers fall out of the ``decision``/``forward`` rows),
+Fig. 7 per-decision numbers fall out of the ``decision``/``forward`` rows;
+in a vectorised run one ``decision`` span is one lockstep step of all K
+members, ``batch=K``, and a ``state_build`` span carrying ``batch`` is one
+batched build),
 the gradient-update phase breakdown (forward / backward / optimizer shares,
 emitted by both the reference tape and the ``--compiled-train`` replay, so
 the two engines' per-phase costs are directly comparable), the learning

@@ -15,9 +15,10 @@ the vec env share one :class:`~repro.sim.kernel.SimKernel`, so the unroll's
 ``vec_env.step`` advances all waiting members per event in fused array
 passes and builds the K observations through one batched dynamic-state
 gather.  Nothing changes here: the trainer sees the same observations,
-rewards and RNG streams either way (the fused path is pinned row-identical
-by ``tests/sim/test_vec_parity.py``), and episode ends still surface the
-gym-style ``infos[k]["terminal_observation"]`` alongside the auto-reset.
+rewards and RNG streams as K standalone environments would give (pinned
+row-identical by ``tests/sim/test_vec_parity.py``), and episode ends still
+surface the gym-style ``infos[k]["terminal_observation"]`` alongside the
+auto-reset.
 """
 
 from __future__ import annotations

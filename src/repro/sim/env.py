@@ -98,12 +98,6 @@ class SchedulingEnv:
     #: the streaming environment swaps in its multi-job objectives)
     REWARD_MODES = ("terminal", "dense")
 
-    #: whether the vectorised wrapper may drive this member through the fused
-    #: kernel wave loop; subclasses whose ``_next_decision`` does more than
-    #: advance-to-completion (e.g. job-arrival time jumps) set this False so
-    #: ``VecSchedulingEnv.step`` falls back to full per-member ``step()``
-    fusable_steps = True
-
     def __init__(
         self,
         graph: GraphSource,
@@ -216,11 +210,11 @@ class SchedulingEnv:
         }
         return ResetResult(obs, info)
 
-    # The decision loop is factored into four hooks so the vectorised
-    # wrapper can drive many members through one fused kernel pass while
-    # consuming each member's RNG stream in exactly the legacy order:
-    # candidates → draw → (batched) build → advance.  ``_next_decision``
-    # composes them for the single-environment path.
+    # The decision loop is factored into hooks so the vectorised wrapper can
+    # drive many members through one wave loop while consuming each member's
+    # RNG stream in exactly the single-env order: candidates → draw →
+    # (batched) build, or before-advance → (batched) advance → after-advance.
+    # ``_next_decision`` composes them for the single-environment path.
 
     def _decision_candidates(self) -> Optional[np.ndarray]:
         """Processors eligible for a decision now, or ``None`` if the
@@ -237,17 +231,33 @@ class SchedulingEnv:
     def _draw_proc(self, candidates: np.ndarray) -> tuple:
         """Draw the current processor; returns ``(proc, allow_pass)``.
 
-        ∅ is legal while declining cannot deadlock: either a task is running
-        (a future event will re-open decisions) or another idle processor is
-        still waiting to be asked.
+        ∅ is legal while declining cannot deadlock: either a future event
+        will re-open decisions or another idle processor is still waiting
+        to be asked.
         """
-        assert self.sim is not None
         proc = int(self.rng.choice(candidates))
-        allow_pass = bool(self.sim.running.any()) or candidates.size > 1
-        return proc, allow_pass
+        return proc, self._event_pending() or candidates.size > 1
+
+    def _event_pending(self) -> bool:
+        """Whether a future event is guaranteed: here, a running task's end."""
+        assert self.sim is not None
+        return bool(self.sim.running.any())
+
+    def _before_advance(self) -> bool:
+        """Prepare the next event; returns whether it is a kernel completion.
+
+        Static episodes have no other events.  Subclasses that do (job
+        arrivals) apply them here and return ``False``.
+        """
+        if not self._event_pending():
+            raise RuntimeError(
+                "environment deadlock: no pending event and no decision "
+                "available — the ∅-action mask should prevent this"
+            )
+        return True
 
     def _after_advance(self) -> None:
-        """Post-event bookkeeping shared by the single and fused loops."""
+        """Post-event bookkeeping, once the event is applied."""
         assert self._passed is not None
         self._passed[:] = False  # a new instant: everyone may be asked again
 
@@ -275,12 +285,8 @@ class SchedulingEnv:
             if candidates is not None:
                 proc, allow_pass = self._draw_proc(candidates)
                 return self._build_decision(proc, allow_pass)
-            if not sim.running.any():
-                raise RuntimeError(
-                    "environment deadlock: nothing running and no decision "
-                    "available — the ∅-action mask should prevent this"
-                )
-            sim.advance()
+            if self._before_advance():
+                sim.advance()
             self._after_advance()
 
     def step(self, action: int) -> StepResult:
@@ -292,29 +298,8 @@ class SchedulingEnv:
         the historical ``(obs, reward, done, info)`` 4-tuple) with
         ``obs=None`` at the terminal state.
         """
-        current, handle, num_ready = self._begin_step(action)
-        next_obs = self._next_decision()
-        result = self._finish_step(next_obs)
-        if handle is not None:
-            obs.TRACER.end(handle, passed=action >= num_ready, done=result.done)
-        return result
-
-    def _begin_step(self, action: int) -> tuple:
-        """Validate and apply ``action`` (start a task or register a pass).
-
-        First third of :meth:`step`; the vectorised wrapper calls it for
-        every member before driving the shared kernel to the members' next
-        decision points.  Returns ``(current_obs, tracer_handle, num_ready)``.
-        """
-        current = self._current_obs
-        sim = self.sim
-        if current is None or sim is None:
-            raise RuntimeError("call reset() before step()")
+        current = self._check_action(action)
         num_ready = len(current.ready_tasks)
-        if not 0 <= action < current.num_actions:
-            raise ValueError(
-                f"action {action} out of range [0, {current.num_actions})"
-            )
         tracer = obs.TRACER
         handle = (
             tracer.begin(
@@ -326,18 +311,41 @@ class SchedulingEnv:
             if tracer.enabled
             else None
         )
-        if action < num_ready:
-            sim.start(int(current.ready_tasks[action]), current.current_proc)
+        self._apply_action(current, action)
+        result = self._finish_step(self._next_decision())
+        if handle is not None:
+            tracer.end(handle, passed=action >= num_ready, done=result.done)
+        return result
+
+    def _check_action(self, action: int) -> Observation:
+        """Validate ``action`` against the pending decision, which is returned.
+
+        Changes no state, so the vectorised wrapper can validate every
+        member's action before applying any of them.
+        """
+        current = self._current_obs
+        if current is None or self.sim is None:
+            raise RuntimeError("call reset() before step()")
+        if not 0 <= action < current.num_actions:
+            raise ValueError(
+                f"action {action} out of range [0, {current.num_actions})"
+            )
+        return current
+
+    def _apply_action(self, current: Observation, action: int) -> None:
+        """Start the chosen task, or register the ∅ pass, for ``current``."""
+        assert self.sim is not None and self._passed is not None
+        if action < len(current.ready_tasks):
+            self.sim.start(int(current.ready_tasks[action]), current.current_proc)
         else:  # ∅: this processor declines until the next event
             assert current.allow_pass
             self._passed[current.current_proc] = True
-        return current, handle, num_ready
 
     def _finish_step(self, next_obs: Optional[Observation]) -> StepResult:
         """Reward/done/info bookkeeping once the next decision is known.
 
-        Final third of :meth:`step`, shared verbatim with the fused path so
-        rewards are computed from the identical elapsed-time floats.
+        Final part of :meth:`step`, shared verbatim with the vectorised wave
+        loop so rewards are computed from the identical elapsed-time floats.
         """
         sim = self.sim
         assert sim is not None

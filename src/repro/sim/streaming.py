@@ -13,10 +13,13 @@ are sampled, the jobs are packed into **one** disjoint-union
 :class:`~repro.graphs.taskgraph.TaskGraph`, and the episode runs through
 the ordinary struct-of-arrays machinery.  Arrival gating is a pure ready-set
 mask: the roots of a not-yet-arrived job are cleared after row init and
-re-released when the clock reaches the job's arrival, and the decision loop
-jumps time to ``min(next completion, next arrival)`` — an arrival between
-completions is just a manual clock write plus a root release (the kernel is
-untouched).  When both coincide, the completion event is processed first.
+re-released when the clock reaches the job's arrival.  The environment's
+``_before_advance`` hook picks the next event, ``min(next completion, next
+arrival)``; an arrival between completions is just a manual clock write plus
+a root release (the kernel is untouched).  When both coincide, the
+completion event is processed first.  The hooks are the whole difference
+from a static member, so a :class:`VecStreamingEnv` steps through the same
+fused wave loop as any other vec env.
 
 Reward modes (all dense except ``makespan``; see DESIGN.md §14):
 
@@ -312,7 +315,6 @@ class StreamingSchedulingEnv(SchedulingEnv):
     """
 
     REWARD_MODES = ("jct", "slowdown", "makespan")
-    fusable_steps = False
 
     def __init__(
         self,
@@ -370,6 +372,7 @@ class StreamingSchedulingEnv(SchedulingEnv):
         self._released = 0
         self._jct = np.zeros(0, dtype=np.float64)
         self._cost_accum = 0.0
+        self._event_start = 0.0  # clock before the event, for _after_advance
 
     # -- episode assembly ------------------------------------------------ #
 
@@ -481,61 +484,48 @@ class StreamingSchedulingEnv(SchedulingEnv):
 
     # -- decision loop --------------------------------------------------- #
 
-    def _draw_proc(self, candidates: np.ndarray) -> tuple:
-        """As the base draw, except a pending arrival also legalises ∅:
-        the arrival is a guaranteed future event, so declining cannot
-        deadlock even with nothing running and no other processor to ask."""
-        assert self.sim is not None
-        proc = int(self.rng.choice(candidates))
-        allow_pass = (
-            bool(self.sim.running.any())
-            or candidates.size > 1
-            or self._released < self._episode_jobs
-        )
-        return proc, allow_pass
+    def _event_pending(self) -> bool:
+        """A pending arrival is a guaranteed future event too, so it also
+        legalises ∅ with nothing running and no other processor to ask."""
+        return super()._event_pending() or self._released < self._episode_jobs
 
     def _next_decision(self) -> Optional[Observation]:
-        sim = self.sim
-        assert sim is not None and self._passed is not None
         if self._pending_init:
             self._init_episode_gating()
-        while True:
-            if sim.done:
-                return None
-            candidates = self._decision_candidates()
-            if candidates is not None:
-                proc, allow_pass = self._draw_proc(candidates)
-                return self._build_decision(proc, allow_pass)
-            next_arrival = (
-                float(self._arrival_times[self._released])
-                if self._released < self._episode_jobs
-                else np.inf
-            )
-            running = bool(sim.running.any())
-            if not running and not np.isfinite(next_arrival):
-                raise RuntimeError(
-                    "environment deadlock: nothing running, no pending "
-                    "arrival and no decision available — the ∅-action mask "
-                    "should prevent this"
-                )
-            t0 = sim.time
-            t_complete = (
-                float(sim.proc_finish[sim.proc_task != IDLE].min())
-                if running
-                else np.inf
-            )
-            if t_complete <= next_arrival:
-                # completion first on a tie: a task finishing exactly at an
-                # arrival instant frees its processor before the new job is
-                # offered, matching the event order of a real runtime
-                sim.advance()
-                self._accrue(t0, sim.time)
-                self._record_completions()
-            else:
-                sim.time = next_arrival
-                self._accrue(t0, next_arrival)
-            self._release_due()
-            self._after_advance()
+        return super()._next_decision()
+
+    def _before_advance(self) -> bool:
+        """The next event is ``min(next completion, next arrival)``.
+
+        On a tie the completion goes first: a task finishing exactly at an
+        arrival instant frees its processor before the new job is offered,
+        matching the event order of a real runtime.  An arrival is a plain
+        clock write; the kernel is untouched.
+        """
+        super()._before_advance()
+        sim = self.sim
+        assert sim is not None
+        self._event_start = sim.time
+        next_arrival = (
+            float(self._arrival_times[self._released])
+            if self._released < self._episode_jobs
+            else np.inf
+        )
+        running = sim.proc_task != IDLE
+        t_complete = float(sim.proc_finish[running].min()) if running.any() else np.inf
+        if t_complete <= next_arrival:
+            return True
+        sim.time = next_arrival
+        return False
+
+    def _after_advance(self) -> None:
+        """Charge the interval, stamp finished jobs, admit due arrivals."""
+        sim = self.sim
+        assert sim is not None
+        self._accrue(self._event_start, sim.time)
+        self._record_completions()  # a no-op after an arrival
+        self._release_due()
+        super()._after_advance()
 
     def reset(self, seed: SeedLike = None) -> ResetResult:
         result = super().reset(seed=seed)
@@ -576,13 +566,13 @@ class StreamingSchedulingEnv(SchedulingEnv):
 class VecStreamingEnv(VecSchedulingEnv):
     """K streaming environments stepped in lockstep.
 
-    Members share one :class:`~repro.sim.kernel.SimKernel` — their episode
-    state lives in rows of common arrays, and auto-reset is a masked row
-    re-init — but stepping always takes the per-member path: streaming
-    members declare ``fusable_steps = False`` because their decision loop
-    interleaves arrival-time jumps with kernel events, which the fused wave
-    loop does not model.  Determinism is unaffected (the per-member path is
-    the reference the fused loop is tested against).
+    Members share one :class:`~repro.sim.kernel.SimKernel`: their episode
+    state lives in rows of common arrays, auto-reset is a masked row
+    re-init, and stepping is the ordinary wave loop of
+    :class:`VecSchedulingEnv`.  A member whose next event is a job arrival
+    moves its own clock in ``_before_advance`` and sits out that wave's
+    ``advance_rows``; members whose next event is a completion advance
+    together.  This subclass only checks that every member is streaming.
     """
 
     def __init__(self, envs: Sequence[SchedulingEnv]) -> None:

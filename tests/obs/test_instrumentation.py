@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag
+from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag, workloads
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import check_span_nesting, load_trace
 from repro.platforms import GaussianNoise, NoNoise, Platform
@@ -13,6 +13,11 @@ from repro.rl.trainer import ReadysTrainer
 from repro.schedulers import get as get_runner
 from repro.sim.engine import Simulation
 from repro.sim.env import SchedulingEnv, StepResult
+from repro.sim.streaming import (
+    PoissonArrivals,
+    StreamingSchedulingEnv,
+    VecStreamingEnv,
+)
 from repro.sim.vec_env import VecSchedulingEnv, VecStepResult
 from repro.utils.seeding import spawn_generators
 
@@ -20,16 +25,32 @@ from repro.utils.seeding import spawn_generators
 REQUIRED_SPANS = {"update", "unroll", "decision", "state_build", "forward"}
 
 
-def _train(updates: int = 2, num_envs: int = 2) -> ReadysTrainer:
-    envs = [
+def _vec_env(kind: str, num_envs: int) -> VecSchedulingEnv:
+    rngs = spawn_generators(0, num_envs)
+    if kind == "streaming":
+        return VecStreamingEnv([
+            StreamingSchedulingEnv(
+                workloads.get("mixed-families", families=("cholesky", "lu"),
+                              tile_choices=(2,)),
+                Platform(2, 2), arrival=PoissonArrivals(rate=0.05), num_jobs=3,
+                noise=GaussianNoise(0.2), window=2, rng=rng,
+            )
+            for rng in rngs
+        ])
+    return VecSchedulingEnv([
         SchedulingEnv(
             cholesky_dag(3), Platform(2, 2), CHOLESKY_DURATIONS,
             GaussianNoise(0.2), window=2, rng=rng,
         )
-        for rng in spawn_generators(0, num_envs)
-    ]
+        for rng in rngs
+    ])
+
+
+def _train(
+    updates: int = 2, num_envs: int = 2, kind: str = "static"
+) -> ReadysTrainer:
     trainer = ReadysTrainer.from_components(
-        VecSchedulingEnv(envs), config=A2CConfig(unroll_length=10), rng=0
+        _vec_env(kind, num_envs), config=A2CConfig(unroll_length=10), rng=0
     )
     trainer.train_updates(updates)
     return trainer
@@ -82,24 +103,44 @@ class TestSpanCoverage:
 
 
 class TestNonInterference:
-    def test_traced_training_is_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["static", "streaming"])
+    def test_traced_training_is_bit_identical(self, tmp_path, kind):
         """Instrumentation must not perturb RNG streams or numerics.
 
         A fully observed run (tracing + metrics on) must produce exactly the
         same weights and episode history as a bare run — the obs layer only
-        watches the clock, never the math.
+        watches the clock, never the math.  Both runs take the same stepping
+        path, so the trace shows one ``decision`` span per lockstep step.
         """
-        bare = _train()
+        bare = _train(kind=kind)
 
-        obs.start_trace(str(tmp_path / "t.jsonl"))
+        path = str(tmp_path / "t.jsonl")
+        obs.start_trace(path)
         obs.METRICS.enabled = True
         obs.METRICS.reset()
         try:
-            observed = _train()
+            observed = _train(kind=kind)
         finally:
             obs.stop_trace()
             obs.METRICS.enabled = False
             obs.METRICS.reset()
+
+        trace = load_trace(path)
+        check_span_nesting(trace)
+        by_id = {s["id"]: s for s in trace.spans}
+        decisions = [s for s in trace.spans if s["name"] == "decision"]
+        # 2 updates x unroll_length 10 lockstep steps of K=2 members
+        assert len(decisions) == 20
+        for span in decisions:
+            assert span["attrs"]["batch"] == 2
+            assert by_id[span["parent"]]["name"] == "unroll"
+        batched = [
+            s for s in trace.spans
+            if s["name"] == "state_build" and "batch" in s["attrs"]
+        ]
+        assert batched
+        assert all(by_id[s["parent"]]["name"] == "decision" for s in batched)
+        assert bare.result.episode_makespans, "an episode must end in the run"
 
         assert bare.result.episode_makespans == observed.result.episode_makespans
         assert bare.result.episode_rewards == observed.result.episode_rewards

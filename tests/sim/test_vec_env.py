@@ -59,6 +59,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kernel"):
             VecSchedulingEnv([make_env(), odd])
 
+    def test_mismatched_feature_widths_raise(self):
+        # a streaming member appends two job columns to the static layout:
+        # 18 vs 20 feature columns cannot share one agent forward pass
+        from repro.graphs import workloads
+        from repro.sim.streaming import StreamingSchedulingEnv, TraceArrivals
+
+        streaming = StreamingSchedulingEnv(
+            workloads.get("single", kernel="cholesky", tiles=2),
+            Platform(2, 2), arrival=TraceArrivals([0.0]), rng=0,
+        )
+        with pytest.raises(ValueError, match=r"feature width.*\[18, 20\]"):
+            VecSchedulingEnv([make_env(), streaming])
+
     def test_from_factory_builds_k_members(self):
         vec = make_vec(3)
         assert vec.num_envs == 3

@@ -1,23 +1,32 @@
-"""Fused-vs-sequential parity: the row-equality suite for VecSchedulingEnv.
+"""Vec-vs-standalone parity: the row-equality suite for VecSchedulingEnv.
 
-The struct-of-arrays kernel lets ``VecSchedulingEnv.step`` drive all members
-through fused array passes; the contract is that the fused path is an
-*implementation detail* — rewards, observations, episode boundaries and info
-dicts must be bit-identical to stepping the members one by one.  These tests
-pin that contract (they are what the CI ``sim-parity`` job runs), plus the
-gym ``terminal_observation`` convention and the batched
+``VecSchedulingEnv.step`` drives all members through one wave loop: batched
+observation builds, one ``advance_rows`` per kernel, and per-member hooks
+for events that are not completions (streaming arrivals).  The contract is
+that the loop is an *implementation detail* — rewards, observations,
+episode boundaries and info dicts must be bit-identical to stepping K
+standalone environments (each on its own private kernel) one by one.  These
+tests pin that contract (they are what the CI ``sim-parity`` job runs),
+plus the gym ``terminal_observation`` convention and the batched
 ``StateBuilder.build_many`` gather.
 """
 
 import numpy as np
 import pytest
 
-from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag
-from repro.platforms import GaussianNoise, NoNoise, Platform
+from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag, workloads
+from repro.platforms import CPU, GPU, GaussianNoise, NoNoise, Platform
 from repro.schedulers.heft import heft_schedule
 from repro.schedulers.static_executor import run_static, run_static_vec
 from repro.sim import SchedulingEnv, Simulation, VecSchedulingEnv, VecSimulation
 from repro.sim.state import build_observations
+from repro.sim.streaming import (
+    PoissonArrivals,
+    StreamingSchedulingEnv,
+    TraceArrivals,
+    VecStreamingEnv,
+)
+from repro.utils.seeding import spawn_generators
 
 PLATFORM = Platform(2, 2)
 
@@ -52,37 +61,156 @@ def _assert_obs_equal(a, b, member):
     assert a.window_fingerprint == b.window_fingerprint
 
 
-@pytest.mark.parametrize(
-    "noise", [NoNoise(), GaussianNoise(0.25)], ids=["deterministic", "noisy"]
-)
-@pytest.mark.parametrize("sparse_state", [False, True], ids=["dense", "sparse"])
-def test_fused_step_matches_member_step(noise, sparse_state):
-    """step() (fused) row-equals _step_members() across whole episodes."""
-    fused, member = _twin_vecs(4, noise=noise, sparse_state=sparse_state)
-    assert fused.kernel is not None
-    obs_f = fused.reset().obs
-    obs_m = member.reset().obs
+# --------------------------------------------------------------------- #
+# member factories: ``make(k, rng) -> env`` for member k
+# --------------------------------------------------------------------- #
+
+
+def _static(noise, sparse_state):
+    graph = cholesky_dag(4)
+
+    def make(k, rng):
+        return SchedulingEnv(
+            graph, PLATFORM, CHOLESKY_DURATIONS, noise=noise, rng=rng,
+            sparse_state=sparse_state,
+        )
+
+    return make
+
+
+def _heterogeneous(k, rng):
+    """Alternating platforms: members cannot share a kernel."""
+    platform = Platform(2, 2) if k % 2 == 0 else Platform(3, 1)
+    return SchedulingEnv(
+        cholesky_dag(4), platform, CHOLESKY_DURATIONS,
+        noise=GaussianNoise(0.25), rng=rng,
+    )
+
+
+def _poisson(reward_mode):
+    def make(k, rng):
+        return StreamingSchedulingEnv(
+            workloads.get("mixed-families", families=("cholesky", "lu"),
+                          tile_choices=(2, 3)),
+            PLATFORM, arrival=PoissonArrivals(rate=0.05), num_jobs=3,
+            noise=GaussianNoise(0.2), rng=rng, reward_mode=reward_mode,
+        )
+
+    return make
+
+
+def _tie_trace():
+    """Arrivals at the first task's CPU and GPU durations: with no noise, a
+    POTRF started at t=0 completes exactly when a job arrives."""
+    potrf = CHOLESKY_DURATIONS.kernel_names.index("POTRF")
+    return TraceArrivals(sorted([
+        0.0,
+        CHOLESKY_DURATIONS.expected(potrf, CPU),
+        CHOLESKY_DURATIONS.expected(potrf, GPU),
+    ]))
+
+
+def _tie(reward_mode):
+    def make(k, rng):
+        return StreamingSchedulingEnv(
+            workloads.get("single", kernel="cholesky", tiles=3),
+            PLATFORM, arrival=_tie_trace(), noise=NoNoise(), rng=rng,
+            reward_mode=reward_mode,
+        )
+
+    return make
+
+
+_STATIC = {
+    f"{layout}-{noise_id}": (_static(noise, layout == "sparse"), VecSchedulingEnv)
+    for layout in ("dense", "sparse")
+    for noise_id, noise in (("deterministic", NoNoise()), ("noisy", GaussianNoise(0.25)))
+}
+_STREAMING = {
+    f"stream-{name}-{mode}": (factory(mode), VecStreamingEnv)
+    for name, factory in (("poisson", _poisson), ("tie", _tie))
+    for mode in ("jct", "slowdown", "makespan")
+}
+PARITY_CASES = {
+    **_STATIC,
+    **_STREAMING,
+    "heterogeneous": (_heterogeneous, VecSchedulingEnv),
+}
+
+
+def _count_ties(env, counter):
+    """Count completions that land exactly on a pending arrival instant."""
+    before, after = env._before_advance, env._after_advance
+    completing = [False]
+
+    def counted_before():
+        completing[0] = before()
+        return completing[0]
+
+    def counted_after():
+        if (
+            completing[0]
+            and env._released < env._episode_jobs
+            and env._arrival_times[env._released] == env.sim.time
+        ):
+            counter[0] += 1
+        after()
+
+    env._before_advance = counted_before
+    env._after_advance = counted_after
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_fused_step_matches_member_step(case):
+    """vec.step row-equals K standalone environments stepped one by one.
+
+    The standalone members are built from the same seed streams and own
+    private kernels; auto-reset is replayed by hand (terminal observation,
+    then ``reset()``), the way the gym convention defines it.
+    """
+    make, vec_cls = PARITY_CASES[case]
+    k = 4
+    vec = vec_cls([make(i, rng) for i, rng in enumerate(spawn_generators(123, k))])
+    solo = [make(i, rng) for i, rng in enumerate(spawn_generators(123, k))]
+    assert (vec.kernel is None) == (case == "heterogeneous")
+    ties = [0]
+    if case.startswith("stream-tie"):
+        for env in solo:
+            _count_ties(env, ties)
+    obs_v = vec.reset().obs
+    obs_s = [env.reset().obs for env in solo]
+    assert all(env.sim._kernel is not vec.kernel for env in solo)
     action_rng = np.random.default_rng(7)
     episodes = 0
-    for _ in range(120):
-        for i, (a, b) in enumerate(zip(obs_f, obs_m)):
+    for _ in range(150):
+        for i, (a, b) in enumerate(zip(obs_v, obs_s)):
             _assert_obs_equal(a, b, i)
-        actions = [int(action_rng.integers(0, ob.num_actions)) for ob in obs_f]
-        step_f = fused._step_fused(actions)
-        step_m = member._step_members(actions)
-        assert np.array_equal(step_f.rewards, step_m.rewards)
-        assert np.array_equal(step_f.dones, step_m.dones)
-        for i, (ia, ib) in enumerate(zip(step_f.infos, step_m.infos)):
-            assert set(ia) == set(ib)
-            if step_f.dones[i]:
-                assert ia["makespan"] == ib["makespan"]
+        actions = [int(action_rng.integers(0, ob.num_actions)) for ob in obs_v]
+        step = vec.step(actions)
+        for i, (env, action) in enumerate(zip(solo, actions)):
+            result = env.step(action)
+            assert step.rewards[i] == result.reward
+            assert bool(step.dones[i]) == result.done
+            info = step.infos[i]
+            if result.done:
                 episodes += 1
-        obs_f, obs_m = step_f.obs, step_m.obs
+                _assert_obs_equal(
+                    info.pop("terminal_observation"),
+                    env.state_builder.build_terminal(env.sim),
+                    i,
+                )
+                obs_s[i] = env.reset().obs
+            else:
+                obs_s[i] = result.obs
+            assert info == result.info
+        obs_v = step.obs
     assert episodes >= 4, "the loop must cross several episode boundaries"
+    if case.startswith("stream-tie"):
+        assert ties[0] > 0, "the tie trace must make a completion meet an arrival"
 
 
 def test_step_dispatches_to_fused_path():
-    """Homogeneous members share a kernel and step() uses the fused loop."""
+    """Homogeneous members share a kernel, so step() advances them together."""
     fused, _ = _twin_vecs(3)
     fused.reset()
     assert fused.kernel is not None
@@ -117,21 +245,6 @@ def test_terminal_observation_present_only_on_done_members():
     assert saw_done >= 3
 
 
-def test_member_path_also_stashes_terminal_observation():
-    vec, _ = _twin_vecs(2)
-    observations = vec.reset().obs
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        actions = [int(rng.integers(0, ob.num_actions)) for ob in observations]
-        step = vec._step_members(actions)
-        if step.dones.any():
-            i = int(np.flatnonzero(step.dones)[0])
-            assert step.infos[i]["terminal_observation"].num_nodes == 0
-            return
-        observations = step.obs
-    pytest.fail("no episode ended within the step budget")
-
-
 def test_build_many_matches_per_member_build():
     vec, _ = _twin_vecs(3)
     vec.reset()
@@ -163,8 +276,9 @@ def test_build_observations_mixed_kernels():
         _assert_obs_equal(ob, ref, i)
 
 
-def test_heterogeneous_members_fall_back_to_member_path():
-    """Different platforms cannot fuse: kernel is None, stepping still works."""
+def test_heterogeneous_members_run_the_wave_loop():
+    """Different platforms cannot share a kernel: kernel is None, and each
+    member advances through its own private kernel in the same loop."""
     graph = cholesky_dag(4)
     envs = [
         SchedulingEnv(graph, Platform(2, 2), CHOLESKY_DURATIONS, rng=0),
