@@ -13,7 +13,6 @@ dense feature operand carries gradients, with ``∂(A·H)/∂H = Aᵀ·g``.
 
 from __future__ import annotations
 
-import weakref
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,65 +23,58 @@ from repro.nn.tensor import Tensor
 
 AdjacencyLike = Union[np.ndarray, sp.spmatrix]
 
-#: per-object CSR decompositions of adjacency blocks, keyed by ``id``; each
-#: entry holds a weakref whose finalizer evicts the key, so a recycled id
-#: can never alias a dead block's parts
-_DECOMP_CACHE: dict = {}
-
-
-def _evict_decomp(ref: "weakref.ref", key: int) -> None:
-    entry = _DECOMP_CACHE.get(key)
-    if entry is not None and entry[0] is ref:
-        del _DECOMP_CACHE[key]
-
-
-def _decompose_block(b: AdjacencyLike) -> tuple:
-    """(data, int32 cols, int32 per-row counts, size) of one square block.
-
-    Adjacency blocks are episode constants that recur heavily across batches
-    (the state builder memoises window adjacencies, and windows repeat across
-    decisions), so each distinct object is decomposed once per lifetime —
-    the cache is weakref-evicted, never by value.
-    """
-    key = id(b)
-    entry = _DECOMP_CACHE.get(key)
-    if entry is not None and entry[0]() is b:
-        return entry[1]
+def csr_parts(b: AdjacencyLike) -> tuple:
+    """(data, int32 cols, int32 per-row counts, size) of one square block."""
     if sp.issparse(b):
         csr = b.tocsr()
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(
                 f"adjacency blocks must be square, got shape {csr.shape}"
             )
-        parts = (
+        return (
             np.asarray(csr.data, dtype=np.float64),
             np.asarray(csr.indices, dtype=np.int32),
             np.asarray(np.diff(csr.indptr), dtype=np.int32),
             csr.shape[0],
         )
-    else:
-        arr = np.asarray(b, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(
-                f"adjacency blocks must be 2-D, got shape {arr.shape}"
-            )
-        if arr.shape[0] != arr.shape[1]:
-            raise ValueError(
-                f"adjacency blocks must be square, got shape {arr.shape}"
-            )
-        rows, cols = np.nonzero(arr)
-        parts = (
-            arr[rows, cols],
-            cols.astype(np.int32),
-            np.bincount(rows, minlength=arr.shape[0]).astype(np.int32),
-            arr.shape[0],
-        )
-    try:
-        ref = weakref.ref(b, lambda r, key=key: _evict_decomp(r, key))
-    except TypeError:  # pragma: no cover - all supported blocks weakref fine
-        return parts
-    _DECOMP_CACHE[key] = (ref, parts)
-    return parts
+    arr = np.asarray(b, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"adjacency blocks must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"adjacency blocks must be square, got shape {arr.shape}")
+    rows, cols = np.nonzero(arr)
+    return (
+        arr[rows, cols],
+        cols.astype(np.int32),
+        np.bincount(rows, minlength=arr.shape[0]).astype(np.int32),
+        arr.shape[0],
+    )
+
+
+def block_diag_csr(parts: Sequence[tuple]) -> sp.csr_matrix:
+    """CSR block-diagonal matrix from per-block :func:`csr_parts` tuples.
+
+    Block rows stay contiguous, so the result is a concatenation of the
+    per-block (data, shifted cols, row counts).  scipy's generic
+    ``block_diag`` routes every block through COO conversion, which
+    dominates batched-forward time for many small blocks.
+    """
+    if not parts:
+        raise ValueError("need at least one adjacency block")
+    sizes = np.fromiter((p[3] for p in parts), dtype=np.int32, count=len(parts))
+    offsets = np.zeros(len(parts), dtype=np.int32)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    nnz = np.fromiter((p[1].size for p in parts), dtype=np.int64, count=len(parts))
+    cols = np.concatenate([p[1] for p in parts]) + np.repeat(offsets, nnz)
+    # int32 is scipy's native index dtype — int64 inputs would be converted
+    # (copied) inside the constructor on every batched forward.
+    counts = np.concatenate([p[2] for p in parts])
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    total = int(sizes.sum())
+    return sp.csr_matrix(
+        (np.concatenate([p[0] for p in parts]), cols, indptr), shape=(total, total)
+    )
 
 
 def block_diag_adjacency_sparse(blocks: Sequence[AdjacencyLike]) -> sp.csr_matrix:
@@ -97,27 +89,7 @@ def block_diag_adjacency_sparse(blocks: Sequence[AdjacencyLike]) -> sp.csr_matri
     """
     if not blocks:
         raise ValueError("need at least one adjacency block")
-    # assemble the CSR arrays directly: block rows stay contiguous, so the
-    # result is a concatenation of per-block (data, shifted cols, row counts).
-    # scipy's generic block_diag routes every block through COO conversion,
-    # which dominates batched-forward time for many small blocks.
-    data_parts, col_parts, count_parts = [], [], []
-    offset = 0
-    for b in blocks:
-        data, cols32, counts, size = _decompose_block(b)
-        data_parts.append(data)
-        col_parts.append(cols32 + np.int32(offset))
-        count_parts.append(counts)
-        offset += size
-    # int32 is scipy's native index dtype — int64 inputs would be converted
-    # (copied) inside the constructor on every batched forward.
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.concatenate(count_parts), dtype=np.int32)), dtype=np.int32
-    )
-    return sp.csr_matrix(
-        (np.concatenate(data_parts), np.concatenate(col_parts), indptr),
-        shape=(offset, offset),
-    )
+    return block_diag_csr([csr_parts(b) for b in blocks])
 
 
 def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:

@@ -32,9 +32,9 @@ import numpy as np
 from repro import obs as _obs
 from repro.nn import functional as F
 from repro.nn.layers import GCNStack, Linear, Module
-from repro.nn.sparse import block_diag_adjacency_sparse
+from repro.nn.sparse import block_diag_csr, csr_parts
 from repro.nn.tensor import Tensor, no_grad
-from repro.sim.state import Observation
+from repro.sim.state import BatchObservation, Observation, ObservationBatch
 from repro.utils.seeding import SeedLike, as_generator
 
 
@@ -58,6 +58,25 @@ class AgentConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.num_gcn_layers < 1:
             raise ValueError("num_gcn_layers must be >= 1")
+
+
+def segment_argmax(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``np.argmax`` of every segment ``flat[offsets[i]:offsets[i+1]]``.
+
+    Segment maxima by ``np.maximum.reduceat``, then the first position
+    equal to its segment's maximum: ties keep the first index, as
+    ``np.argmax`` does.  Segments must be non-empty.
+    """
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    peaks = np.maximum.reduceat(flat, starts)
+    if np.isnan(peaks).any():  # argmax answers the first NaN; keep its rule
+        return np.array(
+            [int(np.argmax(flat[a:b])) for a, b in zip(offsets[:-1], offsets[1:])],
+            dtype=np.int64,
+        )
+    hits = np.flatnonzero(flat == np.repeat(peaks, counts))
+    return hits[np.searchsorted(hits, starts)] - starts
 
 
 @dataclass
@@ -93,7 +112,9 @@ class _BatchGlue:
 
     Shared between the reference :meth:`ReadysAgent.forward_batch_flat` and
     the compiled training step so both feed *the same arrays* into the
-    network.
+    network.  Built from an :class:`~repro.sim.state.ObservationBatch` it
+    reuses the batch's arrays as they are; built from a list of
+    observations it concatenates their parts.
     """
 
     batch: int
@@ -108,6 +129,47 @@ class _BatchGlue:
     num_actions: np.ndarray
     action_offsets: np.ndarray
     perm: np.ndarray
+
+
+def _action_layout(
+    num_ready: np.ndarray, num_actions: np.ndarray, pass_idx: np.ndarray
+) -> dict:
+    """``num_actions``, ``action_offsets`` and the ``perm`` gather that
+    reorders [all task logits..., all pass logits...] observation-major as
+    [obs0 tasks, obs0 pass?, obs1 tasks, ...]."""
+    action_offsets = np.concatenate(([0], np.cumsum(num_actions)))
+    task_offsets = np.concatenate(([0], np.cumsum(num_ready)))
+    total_tasks = int(task_offsets[-1])
+    perm = np.empty(int(action_offsets[-1]), dtype=np.int64)
+    # task entry k of obs i sits at output slot action_offsets[i] + k
+    within = np.arange(total_tasks) - np.repeat(task_offsets[:-1], num_ready)
+    perm[np.repeat(action_offsets[:-1], num_ready) + within] = np.arange(total_tasks)
+    if pass_idx.size:
+        # the ∅ entry of obs i follows its tasks
+        perm[action_offsets[pass_idx] + num_ready[pass_idx]] = (
+            total_tasks + np.arange(pass_idx.size)
+        )
+    return {"num_actions": num_actions, "action_offsets": action_offsets, "perm": perm}
+
+
+def _glue_of_batch(batch: ObservationBatch) -> _BatchGlue:
+    """The glue of an observation batch: its arrays, used as they are."""
+    num_ready = batch.num_ready
+    if not num_ready.all():
+        raise ValueError("observation has no ready task — not a decision point")
+    pass_idx = np.flatnonzero(batch.allow_pass)
+    return _BatchGlue(
+        batch=len(batch),
+        sizes=batch.sizes,
+        feats=batch.feats,
+        graph_ids=batch.graph_ids,
+        adj=batch.adj,
+        num_ready=num_ready,
+        ready_rows=batch.ready_rows,
+        pass_idx=pass_idx,
+        proc_stack=batch.proc_features[pass_idx] if pass_idx.size else None,
+        **_action_layout(num_ready, num_ready + batch.allow_pass, pass_idx),
+    )
 
 
 class ReadysAgent(Module):
@@ -154,6 +216,8 @@ class ReadysAgent(Module):
     @staticmethod
     def _batch_glue(obs_list: Sequence[Observation]) -> _BatchGlue:
         """Assemble the block-diagonal arrays of one batched forward."""
+        if isinstance(obs_list, ObservationBatch):
+            return _glue_of_batch(obs_list)
         batch = len(obs_list)
         sizes = [o.num_nodes for o in obs_list]
         for o in obs_list:
@@ -163,7 +227,11 @@ class ReadysAgent(Module):
         graph_ids = np.repeat(np.arange(batch), sizes)
         # CSR block-diagonal regardless of member format: one sparse matmul
         # costs O(Σ nnz · h) while the dense form grows O((Σm)²).
-        adj = block_diag_adjacency_sparse([o.norm_adj for o in obs_list])
+        adj = block_diag_csr([
+            o.adjacency_parts() if isinstance(o, BatchObservation)
+            else csr_parts(o.norm_adj)
+            for o in obs_list
+        ])
 
         num_ready = np.array([len(o.ready_positions) for o in obs_list])
         node_offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -179,24 +247,7 @@ class ReadysAgent(Module):
             if pass_idx.size
             else None
         )
-
-        # reorder [all task logits..., all pass logits...] to observation-major
-        # [obs0 tasks, obs0 pass?, obs1 tasks, ...] with one gather.
         num_actions = np.array([o.num_actions for o in obs_list])
-        action_offsets = np.concatenate(([0], np.cumsum(num_actions)))
-        task_offsets = np.concatenate(([0], np.cumsum(num_ready)))
-        total_tasks = int(task_offsets[-1])
-        perm = np.empty(int(action_offsets[-1]), dtype=np.int64)
-        # task entry k of obs i sits at output slot action_offsets[i] + k
-        within = np.arange(total_tasks) - np.repeat(task_offsets[:-1], num_ready)
-        perm[np.repeat(action_offsets[:-1], num_ready) + within] = (
-            np.arange(total_tasks)
-        )
-        if pass_idx.size:
-            # the ∅ entry of obs i follows its tasks
-            perm[action_offsets[pass_idx] + num_ready[pass_idx]] = (
-                total_tasks + np.arange(pass_idx.size)
-            )
         return _BatchGlue(
             batch=batch,
             sizes=sizes,
@@ -207,9 +258,7 @@ class ReadysAgent(Module):
             ready_rows=ready_rows,
             pass_idx=pass_idx,
             proc_stack=proc_stack,
-            num_actions=num_actions,
-            action_offsets=action_offsets,
-            perm=perm,
+            **_action_layout(num_ready, num_actions, pass_idx),
         )
 
     def _forward_batch_tensors(self, glue: _BatchGlue) -> Tuple[Tensor, Tensor]:
@@ -377,12 +426,7 @@ class ReadysAgent(Module):
         )
         with no_grad():
             bf = self.forward_batch_flat(obs_list)
-            flat, off = bf.logits.data, bf.action_offsets
-            actions = np.array(
-                [int(np.argmax(flat[off[i]: off[i + 1]]))
-                 for i in range(bf.num_observations)],
-                dtype=np.int64,
-            )
+            actions = segment_argmax(bf.logits.data, bf.action_offsets)
         if handle is not None:
             tracer.end(handle)
         return actions

@@ -24,7 +24,7 @@ auto-reset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -369,7 +369,8 @@ def _evaluate_vec(
     greedy: bool,
     rng: np.random.Generator,
 ) -> List[float]:
-    """Lockstep evaluation across member envs with batched inference.
+    """Lockstep evaluation across member envs: one batched observation build
+    and one batched forward per lockstep step.
 
     ``episodes`` are distributed round-robin over the members; makespans are
     returned grouped by member (member order, then episode order), so K
@@ -379,30 +380,22 @@ def _evaluate_vec(
     quotas = [episodes // k + (1 if i < episodes % k else 0) for i in range(k)]
     makespans: List[List[float]] = [[] for _ in range(k)]
     active = [i for i in range(k) if quotas[i] > 0]
-    observations: List[Optional[Observation]] = [
-        vec_env.envs[i].reset().obs if quotas[i] > 0 else None for i in range(k)
+    observations: Sequence[Observation] = [
+        vec_env.envs[i].reset().obs for i in active
     ]
     while active:
-        batch = [observations[i] for i in active]
         if greedy:
-            actions = agent.greedy_actions(batch)
+            actions = agent.greedy_actions(observations)
         else:
-            actions = agent.sample_actions(batch, rng)
-        still_active: List[int] = []
-        for i, action in zip(active, actions):
-            env = vec_env.envs[i]
-            result = env.step(int(action))
-            if result.done:
-                makespans[i].append(result.info["makespan"])
-                if len(makespans[i]) < quotas[i]:
-                    observations[i] = env.reset().obs
-                    still_active.append(i)
-                else:
-                    observations[i] = None
-            else:
-                observations[i] = result.obs
-                still_active.append(i)
-        active = still_active
+            actions = agent.sample_actions(observations, rng)
+        # members on their last episode are not reset when it ends
+        final = {i for i in active if len(makespans[i]) + 1 == quotas[i]}
+        step = vec_env._step_members(active, actions, final)
+        for i, done, info in zip(active, step.dones, step.infos):
+            if done:
+                makespans[i].append(info["makespan"])
+        active = [i for i, done in zip(active, step.dones) if not (done and i in final)]
+        observations = step.obs
     return [m for member in makespans for m in member]
 
 

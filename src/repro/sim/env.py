@@ -19,7 +19,7 @@ with HEFT's makespan computed on the same instance under expected durations
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -167,6 +167,17 @@ class SchedulingEnv:
         fully reproducible regardless of prior history.  The returned
         :class:`ResetResult` unpacks as ``obs, info``.
         """
+        obs = self._build_decision(*self._begin_episode(seed))
+        self._current_obs = obs
+        return ResetResult(obs, self._reset_info())
+
+    def _begin_episode(self, seed: SeedLike = None) -> Tuple[int, bool]:
+        """Start a new episode and advance it to its first decision point.
+
+        Returns the drawn ``(proc, allow_pass)`` without building the
+        observation, so the vectorised wrapper can build every member's in
+        one batch; :meth:`reset` builds it alone.
+        """
         if seed is not None:
             self.rng = as_generator(seed)
         graph = self._sample_graph()
@@ -201,20 +212,24 @@ class SchedulingEnv:
         self._baseline_makespan = baseline[2]
         self._passed = np.zeros(self.platform.num_processors, dtype=bool)
         self._last_time = 0.0
-        obs = self._next_decision()
-        assert obs is not None, "a fresh episode must have a decision point"
-        self._current_obs = obs
-        info = {
+        decision = self._advance_to_decision()
+        assert decision is not None, "a fresh episode must have a decision point"
+        return decision
+
+    def _reset_info(self) -> dict:
+        """Episode metadata of the episode :meth:`_begin_episode` started."""
+        assert self.sim is not None
+        return {
             "heft_makespan": self._baseline_makespan,
-            "num_tasks": graph.num_tasks,
+            "num_tasks": self.sim.graph.num_tasks,
         }
-        return ResetResult(obs, info)
 
     # The decision loop is factored into hooks so the vectorised wrapper can
     # drive many members through one wave loop while consuming each member's
     # RNG stream in exactly the single-env order: candidates → draw →
     # (batched) build, or before-advance → (batched) advance → after-advance.
-    # ``_next_decision`` composes them for the single-environment path.
+    # ``_advance_to_decision`` composes the event half, ``_next_decision``
+    # adds the build for the single-environment path.
 
     def _decision_candidates(self) -> Optional[np.ndarray]:
         """Processors eligible for a decision now, or ``None`` if the
@@ -274,8 +289,9 @@ class SchedulingEnv:
             built = self.state_builder.build(sim, proc, allow_pass=allow_pass)
         return built
 
-    def _next_decision(self) -> Optional[Observation]:
-        """Advance the simulator to the next decision point (or the end)."""
+    def _advance_to_decision(self) -> Optional[Tuple[int, bool]]:
+        """Advance the simulator to the next decision point; returns the
+        drawn ``(proc, allow_pass)``, or ``None`` at the end of the episode."""
         sim = self.sim
         assert sim is not None and self._passed is not None
         while True:
@@ -283,11 +299,15 @@ class SchedulingEnv:
                 return None
             candidates = self._decision_candidates()
             if candidates is not None:
-                proc, allow_pass = self._draw_proc(candidates)
-                return self._build_decision(proc, allow_pass)
+                return self._draw_proc(candidates)
             if self._before_advance():
                 sim.advance()
             self._after_advance()
+
+    def _next_decision(self) -> Optional[Observation]:
+        """Advance to the next decision point (or the end) and build it."""
+        decision = self._advance_to_decision()
+        return None if decision is None else self._build_decision(*decision)
 
     def step(self, action: int) -> StepResult:
         """Apply ``action`` to the pending decision.

@@ -102,6 +102,8 @@ class SimKernel:
         self.start_time = np.empty((k, 0), dtype=np.float64)
         self.executed_on = np.empty((k, 0), dtype=np.int64)
         self.trace_tasks = np.empty((k, 0), dtype=np.int64)
+        #: each row's graph task types, so mixed-graph gathers are one index
+        self.task_types = np.zeros((k, 0), dtype=np.int64)
 
         self.n_tasks = np.zeros(k, dtype=np.int64)
         self.num_unfinished = np.zeros(k, dtype=np.int64)
@@ -125,6 +127,9 @@ class SimKernel:
 
         self._views: List[Any] = []
         self._metric_handles: Optional[tuple] = None
+        #: memo of :mod:`repro.sim.state` batch layouts over these rows
+        #: (graph-static, rebuilt on demand, never pickled)
+        self.observation_layouts: dict = {}
 
     # ------------------------------------------------------------------ #
     # layout
@@ -155,6 +160,7 @@ class SimKernel:
         self.start_time = grow(self.start_time, np.nan)
         self.executed_on = grow(self.executed_on, IDLE)
         self.trace_tasks = grow(self.trace_tasks, IDLE)
+        self.task_types = grow(self.task_types, 0)
         self.capacity = new
         self.layout_version += 1
         for view in self._views:
@@ -197,6 +203,8 @@ class SimKernel:
             self.set_comm(row, comm)
 
         self.time[row] = 0.0
+        self.task_types[row, :n] = graph.task_types
+        self.task_types[row, n:] = 0
         self.remaining_preds[row, :n] = graph.in_degree
         self.remaining_preds[row, n:] = _PAD_PREDS
         self.ready[row, :n] = graph.in_degree == 0
@@ -369,17 +377,7 @@ class SimKernel:
             raise AssertionError("unreachable: sequential replay must raise")
 
         dst_types = self.platform.resource_types[procs]
-        if self._next_token == 1:
-            # every row ever bound shares one graph — the common case
-            types = self.graphs[int(rows[0])].task_types[tasks]
-        else:
-            types = np.empty(tasks.size, dtype=np.int64)
-            tokens = self._graph_tokens[rows]
-            for token in np.unique(tokens):
-                group = tokens == token
-                graph = self.graphs[int(rows[group][0])]
-                types[group] = graph.task_types[tasks[group]]
-        expected = self.durations.table[types, dst_types]
+        expected = self.durations.table[self.task_types[rows, tasks], dst_types]
 
         noises, rngs, comms = self.noises, self.rngs, self.comms
         if self._noise_det[rows].all():
@@ -583,32 +581,35 @@ class SimKernel:
         """(R, p) expected remaining time per processor (0.0 when idle).
 
         The fused form of ``Simulation.expected_remaining_many`` over many
-        rows: one duration-table gather for every busy processor of every
-        requested row — what ``StateBuilder.build_many`` feeds every member
-        observation from.
+        rows (see :meth:`busy_remaining` for the compact form).
         """
         rows = np.asarray(rows, dtype=np.int64)
+        out = np.zeros((rows.size, self.platform.num_processors), dtype=np.float64)
+        r_idx, p_idx, _tasks, remaining = self.busy_remaining(rows)
+        out[r_idx, p_idx] = remaining
+        return out
+
+    def busy_remaining(self, rows: np.ndarray) -> tuple:
+        """Every busy processor of ``rows`` with its task's expected remaining time.
+
+        Returns ``(r_idx, p_idx, tasks, remaining)``: position into ``rows``,
+        processor, running task and ``max(0, start + expected - now)``, in
+        row-major order.  One duration-table gather for every busy
+        processor of every requested row — what
+        :func:`repro.sim.state.build_observations` reads the remaining-time
+        feature and the processor descriptor from.
+        """
         pt = self.proc_task[rows]
-        out = np.zeros(pt.shape, dtype=np.float64)
         r_idx, p_idx = np.nonzero(pt != IDLE)
-        if r_idx.size == 0:
-            return out
         rows_flat = rows[r_idx]
         tasks = pt[r_idx, p_idx]
-        if self._next_token == 1:
-            types = self.graphs[int(rows_flat[0])].task_types[tasks]
-        else:
-            tokens = self._graph_tokens[rows_flat]
-            types = np.empty(tasks.size, dtype=np.int64)
-            for token in np.unique(tokens):
-                group = tokens == token
-                graph = self.graphs[int(rows_flat[group][0])]
-                types[group] = graph.task_types[tasks[group]]
-        exp = self.durations.table[types, self.platform.resource_types[p_idx]]
-        out[r_idx, p_idx] = np.maximum(
+        exp = self.durations.table[
+            self.task_types[rows_flat, tasks], self.platform.resource_types[p_idx]
+        ]
+        remaining = np.maximum(
             0.0, self.start_time[rows_flat, tasks] + exp - self.time[rows_flat]
         )
-        return out
+        return r_idx, p_idx, tasks, remaining
 
     # ------------------------------------------------------------------ #
     # pickling (stale metric handles must not survive a checkpoint)
@@ -624,10 +625,17 @@ class SimKernel:
         # them here would put a kernel↔view cycle into the pickle stream and
         # a partially-restored kernel under the views' re-sync
         state["_views"] = []
+        state["observation_layouts"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.__dict__.setdefault("observation_layouts", {})
+        if "task_types" not in state:  # pickled before the array existed
+            self.task_types = np.zeros((self.num_rows, self.capacity), dtype=np.int64)
+            for row, graph in enumerate(self.graphs):
+                if graph is not None:
+                    self.task_types[row, : graph.num_tasks] = graph.task_types
         for row, graph in enumerate(self.graphs):
             if graph is not None:
                 token = self._token_graphs.get(id(graph))

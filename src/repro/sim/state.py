@@ -2,8 +2,8 @@
 
 A state contains information about *running* tasks, *ready* tasks and their
 descendants up to depth ``w`` (Fig. 1), plus the state of the computing
-resources.  :class:`StateBuilder` turns the live simulator into an
-:class:`Observation`:
+resources.  :func:`build_observations` turns K live simulations into one
+:class:`ObservationBatch`; each member is an :class:`Observation` view:
 
 * the window sub-DAG's node features — the paper's raw features
   (:func:`repro.graphs.features.node_features`) *enriched* with normalised
@@ -16,14 +16,21 @@ resources.  :class:`StateBuilder` turns the live simulator into an
 * a descriptor of the current processor and of the global resource state
   (used for the ∅-action score).
 
+The batch stores the K windows as flat arrays: stacked node features, one
+block-diagonal normalised CSR and the ready rows, which is exactly what the
+batched GCN forward consumes.  :meth:`StateBuilder.build` is the K=1 batch,
+the way :class:`~repro.sim.engine.Simulation` is a K=1 view of the kernel
+(DESIGN.md §11.7).
+
 All quantities are normalised so that the representation is size-invariant,
 enabling the transfer experiments of §V-F.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from repro.graphs.features import (
     node_features,
 )
 from repro.graphs.taskgraph import TaskGraph
-from repro.nn.layers import gcn_normalize_adjacency
 from repro.platforms.resources import NUM_RESOURCE_TYPES
 from repro.sim.engine import Simulation
 
@@ -79,7 +85,7 @@ class Observation:
     """whether the ∅ action is legal (False would deadlock the system)"""
     window_fingerprint: Optional[bytes] = None
     """raw bytes of the sorted window node ids — identifies the window node
-    set (shared with the builder's adjacency memo key)"""
+    set"""
     extra_node_features: int = 0
     """count of builder-appended trailing feature columns beyond the base
     layout (the streaming environment appends job-id/arrival-age columns);
@@ -95,6 +101,199 @@ class Observation:
     def num_nodes(self) -> int:
         """Window size (running + ready + ≤w-depth descendants)."""
         return self.features.shape[0]
+
+
+class _lazy:
+    """Compute-once attribute: the first read stores the value in the
+    instance dict, which then shadows this (non-data) descriptor, so later
+    reads and plain assignments are ordinary attribute accesses."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        obj.__dict__[self.name] = value
+        return value
+
+
+class BatchObservation(Observation):
+    """Member ``index`` of an :class:`ObservationBatch`.
+
+    The array fields are read from the batch on first access (``features``
+    is a slice of the batch's stacked features; ``norm_adj`` is assembled
+    from the batch's CSR in the builder's dense or sparse format), so a
+    member that is only stepped, never fed to a network, costs a few
+    scalar reads.
+    """
+
+    def __new__(cls, *args, **fields):
+        # built from the dataclass fields (``type(obs)(features=...)``,
+        # ``dataclasses.replace``), a copy is a plain, detached Observation
+        if fields:
+            return Observation(*args, **fields)
+        return super().__new__(cls)
+
+    def __init__(self, batch: "ObservationBatch", index: int) -> None:
+        self._batch = batch
+        self._index = index
+        self.current_proc = int(batch.current_procs[index])
+        self.allow_pass = bool(batch.allow_pass[index])
+        self.extra_node_features = int(batch.extra_node_features[index])
+
+    def _nodes(self) -> slice:
+        off = self._batch.node_offsets
+        return slice(int(off[self._index]), int(off[self._index + 1]))
+
+    def _ready(self) -> slice:
+        off = self._batch.ready_offsets
+        return slice(int(off[self._index]), int(off[self._index + 1]))
+
+    @_lazy
+    def features(self) -> np.ndarray:
+        return self._batch.feats[self._nodes()]
+
+    @_lazy
+    def ready_positions(self) -> np.ndarray:
+        return self._batch.ready_local[self._ready()]
+
+    @_lazy
+    def ready_tasks(self) -> np.ndarray:
+        return self._batch.ready_tasks[self._ready()]
+
+    @_lazy
+    def proc_features(self) -> np.ndarray:
+        return self._batch.proc_features[self._index]
+
+    @_lazy
+    def window_fingerprint(self) -> bytes:
+        return self._batch.tasks[self._nodes()].tobytes()
+
+    @_lazy
+    def norm_adj(self) -> object:
+        data, cols, counts, m = self.adjacency_parts()
+        if self._batch.sparse[self._index]:
+            from scipy import sparse as sp
+
+            indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            adj = sp.csr_matrix((data, cols, indptr), shape=(m, m))
+            for arr in (adj.data, adj.indices, adj.indptr):
+                arr.setflags(write=False)
+            return adj
+        dense = np.zeros((m, m), dtype=np.float64)
+        dense[np.repeat(np.arange(m), counts), cols] = data
+        dense.setflags(write=False)
+        return dense
+
+    def adjacency_parts(self) -> tuple:
+        """``(data, int32 cols, int32 row counts, size)`` of ``norm_adj`` as
+        CSR, sliced from the batch — the pieces a block-diagonal batch of
+        views concatenates (``repro.nn.sparse.csr_parts`` of ``norm_adj``)."""
+        b, nodes = self._batch, self._nodes()
+        indptr = b.adj_indptr[nodes.start: nodes.stop + 1]
+        lo, hi = int(indptr[0]), int(indptr[-1])
+        return (
+            b.adj_data[lo:hi],
+            b.adj_indices[lo:hi] - np.int32(nodes.start),
+            np.diff(indptr),
+            nodes.stop - nodes.start,
+        )
+
+
+class ObservationBatch(Sequence):
+    """K observations stored as the flat arrays of one batched forward.
+
+    ``feats`` stacks the K windows' node features; ``adj_data``/
+    ``adj_indices``/``adj_indptr`` are their block-diagonal normalised
+    adjacency as one int32 CSR; ``ready_rows`` are the ready tasks' rows in
+    ``feats``.  Indexing yields :class:`BatchObservation` views, so a batch
+    is a drop-in ``Sequence[Observation]``.
+    """
+
+    def __init__(
+        self,
+        *,
+        feats: np.ndarray,
+        node_offsets: np.ndarray,
+        graph_ids: np.ndarray,
+        tasks: np.ndarray,
+        adj_data: np.ndarray,
+        adj_indices: np.ndarray,
+        adj_indptr: np.ndarray,
+        ready_rows: np.ndarray,
+        num_ready: np.ndarray,
+        current_procs: np.ndarray,
+        allow_pass: np.ndarray,
+        proc_features: np.ndarray,
+        sparse: np.ndarray,
+        extra_node_features: np.ndarray,
+    ) -> None:
+        self.feats = feats
+        """(Σm, F) stacked node features"""
+        self.node_offsets = node_offsets
+        """(K+1,) member k's nodes are ``feats[off[k]:off[k+1]]``"""
+        self.graph_ids = graph_ids
+        """(Σm,) member index of every node row"""
+        self.tasks = tasks
+        """(Σm,) task id of every node row (sorted within a member)"""
+        self.adj_data = adj_data
+        """normalised adjacency value of every stored entry"""
+        self.adj_indices = adj_indices
+        """int32 global column of every stored entry"""
+        self.adj_indptr = adj_indptr
+        """int32 row pointer over all Σm rows"""
+        self.ready_rows = ready_rows
+        """rows of ``feats`` holding ready tasks, member-major"""
+        self.num_ready = num_ready
+        self.ready_offsets = np.zeros(len(num_ready) + 1, dtype=np.int64)
+        num_ready.cumsum(out=self.ready_offsets[1:])
+        self.ready_tasks = tasks[ready_rows]
+        self.ready_local = ready_rows - node_offsets[graph_ids[ready_rows]]
+        """ready rows relative to their member's first node row"""
+        self.current_procs = current_procs
+        self.allow_pass = allow_pass
+        self.proc_features = proc_features
+        """(K, PROC_FEATURE_DIM) processor descriptors"""
+        self.sparse = sparse
+        """(K,) whether member k's ``norm_adj`` view is CSR (else dense)"""
+        self.extra_node_features = extra_node_features
+
+    @_lazy
+    def adj(self):
+        """The block-diagonal normalised adjacency as a ``csr_matrix``."""
+        from scipy import sparse as sp
+
+        n = self.feats.shape[0]
+        return sp.csr_matrix(
+            (self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n)
+        )
+
+    def __len__(self) -> int:
+        return len(self.current_procs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        k = len(self)
+        i = int(index)
+        if i < 0:
+            i += k
+        if not 0 <= i < k:
+            raise IndexError(f"batch index {index} out of range for {k} members")
+        return BatchObservation(self, i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield BatchObservation(self, i)
+
+    @property
+    def sizes(self) -> List[int]:
+        """Window size of every member."""
+        return np.diff(self.node_offsets).tolist()
 
 
 def action_for_task(obs: Observation, task: Optional[int]) -> int:
@@ -123,21 +322,21 @@ def action_for_task(obs: Observation, task: Optional[int]) -> int:
 
 
 class StateBuilder:
-    """Builds :class:`Observation` objects from a live :class:`Simulation`.
+    """Builds observations of live simulations (see :func:`build_observations`).
 
-    Per-graph constants (descendant-type fractions, the dense adjacency) are
-    cached on first use: they dominate state-extraction cost and never change
-    within an episode.
+    Per-graph constants (descendant-type fractions, the feature template,
+    the successor and symmetric-neighbour tables) are cached on first use:
+    they dominate state-extraction cost and never change within an episode.
     """
-
-    #: bound of the per-graph window-adjacency memo; class-level so tests can
-    #: shrink it to exercise eviction
-    _ADJ_CACHE_MAX = 4096
 
     #: trailing feature columns this builder appends beyond the base layout;
     #: agents size their input dimension as
     #: ``observation_feature_dim(num_types) + extra_node_features``
     extra_node_features = 0
+
+    #: graph-dict key of this builder class's feature template (subclasses
+    #: with extra columns cache theirs under their own key)
+    _TEMPLATE_KEY = "_cached_feature_template"
 
     def __init__(
         self, durations: DurationTable, window: int, sparse: bool = False
@@ -146,8 +345,9 @@ class StateBuilder:
             raise ValueError(f"window must be >= 0, got {window}")
         self.window = window
         self.durations = durations
-        #: use a CSR window adjacency instead of dense — O(edges) instead of
-        #: O(m²) per decision; pays off once windows reach hundreds of tasks
+        #: hand out CSR ``norm_adj`` views instead of dense — O(edges)
+        #: instead of O(m²) per observation once windows reach hundreds of
+        #: tasks (the batch itself is CSR either way)
         self.sparse = sparse
         # normalisation scale for all duration-valued features
         self._scale = float(durations.table.mean())
@@ -173,15 +373,6 @@ class StateBuilder:
         return cached
 
     @staticmethod
-    def _adjacency(graph: TaskGraph) -> np.ndarray:
-        cached = graph.__dict__.get("_cached_dense_adjacency")
-        if cached is None:
-            cached = graph.adjacency_matrix()
-            cached.setflags(write=False)
-            graph.__dict__["_cached_dense_adjacency"] = cached
-        return cached
-
-    @staticmethod
     def _static_features(graph: TaskGraph, fractions: np.ndarray) -> np.ndarray:
         """Raw feature matrix with the ready/running columns left at zero.
 
@@ -196,35 +387,6 @@ class StateBuilder:
             graph.__dict__["_cached_static_features"] = cached
         return cached
 
-    #: graphs above this size skip the dense reachability cache (O(n²) bool
-    #: memory, O(n³·w) one-off construction) and fall back to per-decision BFS
-    _REACH_CACHE_MAX_NODES = 2048
-
-    def _reach_mask(self, graph: TaskGraph) -> Optional[np.ndarray]:
-        """Boolean (n, n) matrix: ``reach[u, v]`` ⇔ v within ``window`` hops of u.
-
-        Graph-static, so the per-decision window computation reduces to one
-        row gather + ``any`` instead of a fresh BFS.  ``None`` for graphs too
-        large to cache densely (the BFS path handles those).
-        """
-        if graph.num_tasks > self._REACH_CACHE_MAX_NODES:
-            return None
-        cache: Dict[int, np.ndarray] = graph.__dict__.setdefault(
-            "_cached_reach_masks", {}
-        )
-        reach = cache.get(self.window)
-        if reach is None:
-            adj = self._adjacency(graph)  # float 0/1
-            n = graph.num_tasks
-            reach = np.zeros((n, n), dtype=bool)
-            frontier = adj
-            for _ in range(self.window):
-                reach |= frontier > 0.0
-                frontier = frontier @ adj  # path counts; > 0 ⇔ reachable
-            reach.setflags(write=False)
-            cache[self.window] = reach
-        return reach
-
     def _expected_norm(self, graph: TaskGraph) -> np.ndarray:
         """Per-task expected durations over resource types, pre-normalised."""
         cached = graph.__dict__.get("_cached_expected_norm")
@@ -235,192 +397,65 @@ class StateBuilder:
             graph.__dict__["_cached_expected_norm"] = cached
         return cached[1]
 
-    def _feature_template(self, graph: TaskGraph) -> tuple:
-        """(n, F) feature matrix with every graph-static column filled in.
+    def _make_template(self, graph: TaskGraph) -> Tuple[np.ndarray, int]:
+        raw = self._static_features(graph, self._fractions(graph))
+        template = np.zeros(
+            (graph.num_tasks, raw.shape[1] + NUM_DYNAMIC_FEATURES), dtype=np.float64
+        )
+        template[:, : raw.shape[1]] = raw
+        template[:, raw.shape[1]: raw.shape[1] + NUM_RESOURCE_TYPES] = (
+            self._expected_norm(graph)
+        )
+        return template, raw.shape[1]
 
-        Layout matches :meth:`build`'s observation rows:
-        ``[raw | exp per type | remaining | exp on current | current one-hot]``.
-        Only the ready/running flags (raw columns 2–3), the remaining column
-        and the current-processor block change per decision, so an
-        observation is one row gather plus a handful of column patches
-        instead of a five-part hstack of freshly allocated arrays.
+    def _feature_template(self, graph: TaskGraph) -> Tuple[np.ndarray, int]:
+        """(n, F) feature matrix with every graph-static column filled in,
+        and the raw-feature width.
+
+        Layout matches the observation rows:
+        ``[raw | exp per type | remaining | exp on current | current one-hot]``
+        followed by the builder's extra columns.  Only the ready/running
+        flags (raw columns 2–3), the remaining column, the current-processor
+        block and dynamic extra columns change per decision, so a batch of
+        observations is one row gather plus a handful of column patches.
         """
-        cached = graph.__dict__.get("_cached_feature_template")
+        cached = graph.__dict__.get(self._TEMPLATE_KEY)
         if cached is None or cached[0] is not self.durations:
-            raw = self._static_features(graph, self._fractions(graph))
-            exp = self._expected_norm(graph)
-            template = np.zeros(
-                (graph.num_tasks, raw.shape[1] + NUM_DYNAMIC_FEATURES),
-                dtype=np.float64,
-            )
-            template[:, : raw.shape[1]] = raw
-            template[:, raw.shape[1]: raw.shape[1] + NUM_RESOURCE_TYPES] = exp
+            template, raw_width = self._make_template(graph)
             template.setflags(write=False)
-            cached = (self.durations, template, raw.shape[1])
-            graph.__dict__["_cached_feature_template"] = cached
+            cached = (self.durations, template, raw_width)
+            graph.__dict__[self._TEMPLATE_KEY] = cached
         return cached[1], cached[2]
 
-    @staticmethod
-    def _remap_scratch(graph: TaskGraph) -> np.ndarray:
-        """Reusable task-id → window-position vector (-1 outside the window).
+    def _age_scale(self, graph: TaskGraph) -> Optional[float]:
+        """Divisor of a trailing arrival-age column, or ``None`` without one.
 
-        Callers fill ``remap[nodes]`` and must reset those entries to -1
-        before returning, so the scratch stays all -1 between decisions —
-        O(m) bookkeeping instead of an O(n) allocation per decision.
+        A builder whose template's last column holds each node's arrival
+        instant gets it rewritten per decision as ``(now - arrival) / scale``.
         """
-        cached = graph.__dict__.get("_cached_window_remap")
-        if cached is None:
-            cached = np.full(graph.num_tasks, -1, dtype=np.int64)
-            graph.__dict__["_cached_window_remap"] = cached
-        return cached
+        return None
 
     def window_nodes(self, sim: Simulation) -> np.ndarray:
         """Sorted task ids inside the observation window."""
-        src_mask = sim.ready | sim.running
-        sources = np.flatnonzero(src_mask)
-        if sources.size == 0:
+        source = sim.ready | sim.running
+        if not source.any():
             raise RuntimeError("no ready or running task — episode is over")
-        if self.window > 0:
-            reach = self._reach_mask(sim.graph)
-            if reach is not None:
-                # (reachable ∧ ¬finished) ∨ sources, as one mask: flatnonzero
-                # of a boolean union is already sorted and unique, so the
-                # union1d sort of the BFS path is unnecessary here.
-                mask = reach[sources].any(axis=0)
-                mask &= ~sim.finished
-                mask |= src_mask
-                nodes = np.flatnonzero(mask)
-            else:
-                desc = sim.graph.descendants_within(sources, self.window)
-                # descendants that already finished cannot appear (they would
-                # be predecessors); keep unfinished ones only for safety.
-                desc = desc[~sim.finished[desc]]
-                nodes = np.union1d(sources, desc)
-        else:
-            nodes = sources
-        return nodes
+        return _layout([self], [sim]).window_ids(source)
 
     def build(
         self,
         sim: Simulation,
         current_proc: int,
         allow_pass: Optional[bool] = None,
-        *,
-        busy: Optional[np.ndarray] = None,
-        remaining: Optional[np.ndarray] = None,
     ) -> Observation:
         """Extract the observation for ``current_proc`` at the current instant.
 
         ``allow_pass`` overrides the default ∅-action legality (the
         environment masks ∅ only when declining would deadlock: nothing is
-        running *and* no other idle processor remains to be offered).
-
-        ``busy``/``remaining`` optionally inject the busy-processor set and
-        its expected-remaining vector when the caller already gathered them —
-        :func:`build_observations` computes both for all members of a shared
-        kernel in one fused pass and feeds them through here, so the batched
-        path produces bit-identical features without re-deriving per member.
+        running *and* no other idle processor remains to be offered).  This
+        is the K=1 case of :func:`build_observations`.
         """
-        graph = sim.graph
-        nodes = self.window_nodes(sim)
-
-        # gather the graph-static rows of the full template, patch the
-        # per-decision columns in place
-        template, raw_width = self._feature_template(graph)
-        features = template[nodes]
-        features[:, 2] = sim.ready[nodes]
-        features[:, 3] = sim.running[nodes]
-        col_remaining = raw_width + NUM_RESOURCE_TYPES
-        col_exp_current = col_remaining + 1
-
-        remap = self._remap_scratch(graph)
-        remap[nodes] = np.arange(nodes.size)
-        if busy is None:
-            busy = sim.busy_processors()
-        remaining_all = remaining
-        if busy.size:
-            if remaining_all is None:
-                remaining_all = sim.expected_remaining_many(busy)
-            pos = remap[sim.proc_task[busy]]
-            inside = pos >= 0
-            if inside.any():
-                features[pos[inside], col_remaining] = (
-                    remaining_all[inside] / self._scale
-                )
-        # current-processor context, broadcast to every node
-        cur_type = sim.platform.type_of(current_proc)
-        features[:, col_exp_current] = features[:, raw_width + cur_type]
-        features[:, col_exp_current + 1 + cur_type] = 1.0
-
-        # the normalised window adjacency depends only on the node set, which
-        # repeats across the decisions of one instant (assignments move tasks
-        # ready→running but both stay in the window) — memoise per set
-        adj_cache: Dict = graph.__dict__.setdefault("_cached_window_norm_adj", {})
-        nodes_bytes = nodes.tobytes()
-        adj_key = (self.sparse, nodes_bytes)
-        norm_adj = adj_cache.get(adj_key)
-        if norm_adj is not None:
-            # LRU recency refresh: re-inserting moves the key to the end of
-            # the (insertion-ordered) dict, so hot windows survive eviction
-            adj_cache[adj_key] = adj_cache.pop(adj_key)
-        if norm_adj is None:
-            if self.sparse:
-                from repro.nn.sparse import (
-                    edges_to_sparse_adjacency,
-                    gcn_normalize_adjacency_sparse,
-                )
-
-                e = graph.edges
-                if len(e):
-                    mask = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
-                    sub_edges = np.column_stack(
-                        (remap[e[mask, 0]], remap[e[mask, 1]])
-                    )
-                else:
-                    sub_edges = np.zeros((0, 2), dtype=np.int64)
-                norm_adj = gcn_normalize_adjacency_sparse(
-                    edges_to_sparse_adjacency(sub_edges, nodes.size)
-                )
-            else:
-                sub_adj = self._adjacency(graph)[np.ix_(nodes, nodes)]
-                norm_adj = gcn_normalize_adjacency(sub_adj)
-            # freeze the memoised adjacency (CSR: its backing arrays) — it is
-            # shared by every observation with this window node set
-            if self.sparse:
-                for arr in (norm_adj.data, norm_adj.indices, norm_adj.indptr):
-                    arr.setflags(write=False)
-            else:
-                norm_adj.setflags(write=False)
-            # bound memory under huge episodes by evicting the single oldest
-            # entry (dicts preserve insertion order, and hits above refresh a
-            # key's position) — a wholesale clear() would drop the hot window
-            # of the current instant and cause a latency cliff on re-entry
-            while len(adj_cache) >= self._ADJ_CACHE_MAX:
-                adj_cache.pop(next(iter(adj_cache)))
-            adj_cache[adj_key] = norm_adj
-        remap[nodes] = -1  # restore the all--1 scratch invariant
-
-        ready_mask = sim.ready[nodes]
-        ready_positions = np.flatnonzero(ready_mask)
-        ready_tasks = nodes[ready_positions]
-
-        # processor descriptor, sharing busy/remaining computed above
-        proc_features = self.proc_descriptor(
-            sim, current_proc, busy=busy, remaining=remaining_all
-        )
-        if allow_pass is None:
-            allow_pass = bool(sim.running.any())
-
-        return Observation(
-            features=features,
-            norm_adj=norm_adj,
-            ready_positions=ready_positions,
-            ready_tasks=ready_tasks,
-            proc_features=proc_features,
-            current_proc=int(current_proc),
-            allow_pass=allow_pass,
-            window_fingerprint=nodes_bytes,
-        )
+        return build_observations([self], [sim], [current_proc], [allow_pass])[0]
 
     def build_terminal(self, sim: Simulation) -> Observation:
         """Degenerate observation of a *finished* episode.
@@ -434,8 +469,7 @@ class StateBuilder:
         consumers can embed it without special-casing, while ``num_actions
         == 0`` still marks it as non-actionable.
         """
-        graph = sim.graph
-        template, _raw_width = self._feature_template(graph)
+        template, _raw_width = self._feature_template(sim.graph)
         features = np.zeros((0, template.shape[1]), dtype=np.float64)
         if self.sparse:
             from repro.nn.sparse import (
@@ -459,101 +493,330 @@ class StateBuilder:
             proc_features=proc_features,
             current_proc=-1,
             allow_pass=False,
+            extra_node_features=self.extra_node_features,
         )
 
-    def build_many(
-        self,
-        sims: "list[Simulation]",
-        procs: "list[int]",
-        allow_passes: "list[bool]",
-    ) -> "list[Observation]":
-        """Observations for many members with one fused dynamic-state pass.
-
-        Convenience wrapper over :func:`build_observations` for callers that
-        share a single builder across members.
-        """
-        return build_observations([self] * len(sims), sims, procs, allow_passes)
-
-    def proc_descriptor(
-        self,
-        sim: Simulation,
-        current_proc: int,
-        *,
-        busy: Optional[np.ndarray] = None,
-        remaining: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def proc_descriptor(self, sim: Simulation, current_proc: int) -> np.ndarray:
         """Current-processor + resource-state summary vector.
 
-        This is the single source of the descriptor — :meth:`build` calls it
-        with its already-computed ``busy``/``remaining`` arrays, standalone
-        callers let it derive them from the simulation.  (Busy and idle
-        processors partition the platform, so ``p - busy.size`` equals
-        ``sim.idle_processors().size``.)
+        The descriptor :func:`build_observations` embeds, for one processor
+        (both run :func:`_proc_descriptors`).
         """
-        if busy is None:
-            busy = sim.busy_processors()
-        if remaining is None and busy.size:
-            remaining = sim.expected_remaining_many(busy)
-        p = sim.platform.num_processors
-        descriptor = np.zeros(PROC_FEATURE_DIM, dtype=np.float64)
-        descriptor[sim.platform.type_of(current_proc)] = 1.0
-        descriptor[NUM_RESOURCE_TYPES] = (p - busy.size) / p
-        descriptor[NUM_RESOURCE_TYPES + 1] = min(
-            1.0, int(sim.ready.sum()) / max(1, p)
+        r_idx, _p_idx, _tasks, remaining = sim._kernel.busy_remaining(
+            np.asarray([sim._row])
         )
-        if remaining is not None and len(remaining):
-            descriptor[NUM_RESOURCE_TYPES + 2] = (
-                float(remaining.mean()) / self._scale
+        return _proc_descriptors(
+            sim.platform.num_processors,
+            sim.platform.resource_types[[current_proc]],
+            np.asarray([sim.ready.sum()]),
+            np.asarray([self._scale]),
+            r_idx,
+            remaining,
+        )[0]
+
+
+def _proc_descriptors(
+    num_procs: int,
+    cur_types: np.ndarray,
+    num_ready: np.ndarray,
+    scales: np.ndarray,
+    r_idx: np.ndarray,
+    remaining: np.ndarray,
+) -> np.ndarray:
+    """(R, PROC_FEATURE_DIM) descriptors of R kernel rows.
+
+    ``num_ready`` counts each row's ready tasks; ``r_idx``/``remaining``
+    are the rows' busy processors in the compact form of
+    :meth:`~repro.sim.kernel.SimKernel.busy_remaining`.  The mean remaining
+    time sums the rows that have the same busy count as one contiguous
+    ``(rows, count)`` block, which reproduces ``mean()`` of each row's busy
+    entries bit for bit.
+    """
+    r = cur_types.size
+    out = np.zeros((r, PROC_FEATURE_DIM), dtype=np.float64)
+    out[np.arange(r), cur_types] = 1.0
+    busy_count = np.bincount(r_idx, minlength=r)
+    out[:, NUM_RESOURCE_TYPES] = (num_procs - busy_count) / num_procs
+    out[:, NUM_RESOURCE_TYPES + 1] = np.minimum(1.0, num_ready / max(1, num_procs))
+    starts = np.cumsum(busy_count) - busy_count
+    for count in sorted(set(busy_count.tolist()) - {0}):
+        sel = np.flatnonzero(busy_count == count)
+        block = remaining[starts[sel, None] + np.arange(count)]
+        out[sel, NUM_RESOURCE_TYPES + 2] = block.sum(axis=1) / count / scales[sel]
+    return out
+
+
+def _padded(counts: np.ndarray, values: np.ndarray, fill: int) -> np.ndarray:
+    """(n, max count) table whose row i holds the next ``counts[i]`` of
+    ``values`` (a CSR flattened in row order), padded with ``fill``."""
+    n = counts.size
+    table = np.full((n, max(1, int(counts.max(initial=0)))), fill, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(n), counts)
+    table[rows, np.arange(values.size) - starts[rows]] = values
+    return table
+
+
+def _successor_table(graph: TaskGraph) -> np.ndarray:
+    """(n, D) successor ids of every task, -1 padded (cached on the graph)."""
+    cached = graph.__dict__.get("_cached_successor_table")
+    if cached is None:
+        succ, counts = graph.successors_of_many(np.arange(graph.num_tasks))
+        cached = _padded(counts, succ, -1)
+        cached.setflags(write=False)
+        graph.__dict__["_cached_successor_table"] = cached
+    return cached
+
+
+def _neighbour_table(graph: TaskGraph) -> np.ndarray:
+    """(n, D) sorted neighbour ids of every task, self included, -1 padded.
+
+    The symmetric adjacency with self-loops of the GCN normalisation
+    (predecessors ∪ successors ∪ {self}) as a padded table, cached on the
+    graph: one row gather yields every window node's candidate neighbours.
+    """
+    cached = graph.__dict__.get("_cached_neighbours")
+    if cached is None:
+        n, e = graph.num_tasks, graph.edges
+        loops = np.arange(n, dtype=np.int64)
+        src = np.concatenate((e[:, 0], e[:, 1], loops)) if len(e) else loops
+        dst = np.concatenate((e[:, 1], e[:, 0], loops)) if len(e) else loops
+        pairs = np.unique(src * n + dst)  # sorted by (src, dst), deduplicated
+        cached = _padded(np.bincount(pairs // n, minlength=n), pairs % n, -1)
+        cached.setflags(write=False)
+        graph.__dict__["_cached_neighbours"] = cached
+    return cached
+
+
+def _stack(tables: List[np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """Per-graph -1-padded id tables stacked into one id space: member m's
+    ids shift by ``offsets[m]`` and padding becomes ``offsets[-1]``."""
+    total = int(offsets[-1])
+    out = np.full(
+        (total, max(t.shape[1] for t in tables)), total, dtype=np.int64
+    )
+    for table, lo, hi in zip(tables, offsets[:-1], offsets[1:]):
+        out[lo:hi, : table.shape[1]] = np.where(table >= 0, table + lo, total)
+    return out
+
+
+class _BatchLayout:
+    """The graph-static arrays of one member tuple, stacked in member order.
+
+    Member m's graph occupies *stacked ids* ``offsets[m]:offsets[m+1]``, so
+    the K graphs form one disconnected graph with one feature template, one
+    successor table and one neighbour table.  Id ``S = offsets[-1]`` is the
+    padding sentinel of both tables.  A layout depends only on which
+    builder observes which graph in which kernel row, so a vectorised
+    environment reuses it until a member starts a new episode.
+    """
+
+    def __init__(self, builders: list, sims: list) -> None:
+        k = len(builders)
+        graphs = [sim.graph for sim in sims]
+        templates = [b._feature_template(g) for b, g in zip(builders, graphs)]
+        widths = sorted({(t.shape[1], w) for t, w in templates})
+        if len(widths) > 1:
+            raise ValueError(
+                "members disagree on observation feature width "
+                f"(total, raw): {widths}"
             )
-        return descriptor
+        self.refs = (builders, graphs)  # keep the keyed ids alive
+        sizes = np.asarray([g.num_tasks for g in graphs], dtype=np.int64)
+        self.offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.offsets[1:])
+        total = int(self.offsets[-1])
+        self.member = np.repeat(np.arange(k), sizes)
+        self.task = np.arange(total) - self.offsets[self.member]
+        self.template = np.concatenate([t for t, _w in templates])
+        self.width, self.raw_width = widths[0]
+        self.successors = _stack([_successor_table(g) for g in graphs], self.offsets)
+        self.neighbours = _stack([_neighbour_table(g) for g in graphs], self.offsets)
+        windows = sorted({b.window for b in builders})
+        if len(windows) > 1:
+            raise ValueError(f"members disagree on window depth: {windows}")
+        self.window = windows[0]
+        self.scales = np.asarray([b._scale for b in builders], dtype=np.float64)
+        self.sparse = np.asarray([b.sparse for b in builders], dtype=bool)
+        self.extra = np.asarray(
+            [b.extra_node_features for b in builders], dtype=np.int64
+        )
+        ages = [b._age_scale(g) for b, g in zip(builders, graphs)]
+        self.age_scale = np.asarray([a or 0.0 for a in ages], dtype=np.float64)
+        #: which stacked ids' template holds an arrival instant in its last
+        #: column: None, every id (a slice) or a mask
+        aged = np.asarray([a is not None for a in ages])
+        self.aged = (
+            None if not aged.any()
+            else slice(None) if aged.all()
+            else aged[self.member]
+        )
+        #: (kernel, its members, their rows, their stacked ids) per kernel
+        rows = np.asarray([sim._row for sim in sims], dtype=np.int64)
+        by_kernel: Dict[int, List[int]] = {}
+        for m, sim in enumerate(sims):
+            by_kernel.setdefault(id(sim._kernel), []).append(m)
+        self.kernels = []
+        for members in by_kernel.values():
+            idx = np.asarray(members, dtype=np.int64)
+            ids = (
+                slice(None) if len(members) == k
+                else np.flatnonzero(np.isin(self.member, idx))
+            )
+            self.kernels.append(
+                (sims[members[0]]._kernel, idx, rows[idx], ids, rows[self.member[ids]])
+            )
+
+    def window_ids(self, source: np.ndarray) -> np.ndarray:
+        """Sorted stacked ids in the window of the ``source`` (ready or
+        running) mask: one frontier expansion of ``window`` hops over the
+        stacked successor table serves every member.  A descendant of an
+        unfinished task cannot have finished, so no finished mask applies.
+        """
+        seen = np.append(source, True)  # the sentinel id counts as seen
+        frontier = np.flatnonzero(source)
+        for _hop in range(self.window):
+            found = self.successors[frontier].ravel()
+            frontier = found[~seen[found]]
+            if not frontier.size:
+                break
+            seen[frontier] = True
+        return np.flatnonzero(seen[:-1])
+
+
+#: layouts memoised per kernel (the first member's); a new member tuple
+#: evicts the oldest once this many are held
+_LAYOUTS_PER_KERNEL = 8
+
+
+def _layout(builders: list, sims: list) -> _BatchLayout:
+    key = tuple(
+        (id(b), id(sim._kernel), sim._row, id(sim.graph))
+        for b, sim in zip(builders, sims)
+    )
+    memo = sims[0]._kernel.observation_layouts
+    layout = memo.get(key)
+    if layout is None:
+        layout = _BatchLayout(builders, sims)
+        while len(memo) >= _LAYOUTS_PER_KERNEL:
+            memo.pop(next(iter(memo)))
+        memo[key] = layout
+    return layout
 
 
 def build_observations(
     builders: "list[StateBuilder]",
     sims: "list[Simulation]",
     procs: "list[int]",
-    allow_passes: "list[bool]",
-) -> "list[Observation]":
-    """Build one observation per member, batching the kernel-backed gathers.
+    allow_passes: "list[Optional[bool]]",
+) -> ObservationBatch:
+    """Build the observations of K members as one :class:`ObservationBatch`.
 
-    Members whose simulations share a struct-of-arrays kernel get their
-    busy-processor sets and expected-remaining vectors from **one**
-    ``(R, p)`` gather (:meth:`repro.sim.kernel.SimKernel.expected_remaining_rows`)
-    instead of R separate table lookups; the per-member assembly then runs
-    through :meth:`StateBuilder.build` with those arrays injected, producing
-    features bit-identical to the member-by-member path (the fused gather
-    applies the same scalar formula elementwise).  Members with standalone
-    simulations (or no shared kernel) fall back to the plain build.
+    Member ``i`` is ``builders[i]`` observing ``sims[i]`` for processor
+    ``procs[i]``; ``allow_passes[i]`` overrides ∅ legality (``None``: legal
+    while a task runs).  The K graphs are stacked into one id space
+    (:class:`_BatchLayout`), so every step below is one array pass for the
+    whole batch, never a loop over members:
+
+    * window: one frontier expansion over the stacked successor table;
+    * features: one row gather from the stacked template, then the dynamic
+      columns (ready/running flags, remaining time, current-processor block,
+      arrival age) patched by fancy indexing;
+    * adjacency: one stacked-neighbour gather through a task → row remap,
+      ``bincount`` degrees and ``data = inv[src] * inv[col]``, which equals
+      the dense and the sparse GCN normalisation bit for bit;
+    * remaining times and processor descriptors: one pass per kernel.
+
+    Every member's features, adjacency, ready set and descriptor are
+    bit-identical to building it alone (``tests/sim/test_state_batch.py``).
     """
-    if not (len(builders) == len(sims) == len(procs) == len(allow_passes)):
+    k = len(builders)
+    if not (k == len(sims) == len(procs) == len(allow_passes)):
         raise ValueError("builders/sims/procs/allow_passes must align")
-    from repro.sim.kernel import IDLE
+    if k == 0:
+        raise ValueError("build_observations needs at least one member")
+    layout = _layout(builders, sims)
+    total = int(layout.offsets[-1])
+    ready_all = np.empty(total, dtype=bool)
+    running_all = np.empty(total, dtype=bool)
+    for kernel, _members, _rows, ids, id_rows in layout.kernels:
+        ready_all[ids] = kernel.ready[id_rows, layout.task[ids]]
+        running_all[ids] = kernel.running[id_rows, layout.task[ids]]
+    nodes = layout.window_ids(ready_all | running_all)  # member-major, sorted
+    n_total = nodes.size
+    graph_ids = layout.member[nodes]
+    sizes = np.bincount(graph_ids, minlength=k)
+    if not sizes.all():  # a window holds at least its sources
+        raise RuntimeError("no ready or running task — episode is over")
+    node_offsets = np.zeros(k + 1, dtype=np.int64)
+    sizes.cumsum(out=node_offsets[1:])
+    ready_flat = ready_all[nodes]
+    ready_rows = np.flatnonzero(ready_flat)
+    # ready tasks are window sources, so this counts every ready task
+    num_ready = np.bincount(graph_ids[ready_rows], minlength=k)
 
-    # one fused expected-remaining gather per distinct kernel
-    by_kernel: dict = {}
-    for i, sim in enumerate(sims):
-        kernel = getattr(sim, "_kernel", None)
-        if kernel is not None:
-            by_kernel.setdefault(id(kernel), (kernel, []))[1].append(i)
-    prefetched: dict = {}
-    for kernel, indices in by_kernel.values():
-        if len(indices) < 2:
-            continue  # a lone member gains nothing from the (R, p) path
-        rows = np.asarray([sims[i]._row for i in indices], dtype=np.int64)
-        remaining_rows = kernel.expected_remaining_rows(rows)
-        for j, i in enumerate(indices):
-            pt = kernel.proc_task[rows[j]]
-            busy = np.flatnonzero(pt != IDLE)
-            prefetched[i] = (busy, remaining_rows[j, busy])
+    feats = layout.template[nodes]
+    feats[:, 2] = ready_flat
+    feats[:, 3] = running_all[nodes]
+    remap = np.full(total + 1, -1, dtype=np.int64)  # stacked id → batch row
+    remap[nodes] = np.arange(n_total)
 
-    out = []
-    for i, (builder, sim, proc, allow_pass) in enumerate(
-        zip(builders, sims, procs, allow_passes)
-    ):
-        busy, remaining = prefetched.get(i, (None, None))
-        out.append(
-            builder.build(
-                sim, proc, allow_pass=allow_pass, busy=busy, remaining=remaining
-            )
+    procs_arr = np.asarray(procs, dtype=np.int64)
+    cur_types = np.empty(k, dtype=np.int64)
+    allow = np.asarray([bool(a) for a in allow_passes], dtype=bool)
+    proc_features = np.empty((k, PROC_FEATURE_DIM), dtype=np.float64)
+    for kernel, members, rows, _ids, _id_rows in layout.kernels:
+        r_idx, _p_idx, tasks, remaining = kernel.busy_remaining(rows)
+        owner = members[r_idx]
+        at = remap[layout.offsets[owner] + tasks]
+        feats[at, layout.raw_width + NUM_RESOURCE_TYPES] = remaining / layout.scales[owner]
+        cur_types[members] = kernel.platform.resource_types[procs_arr[members]]
+        proc_features[members] = _proc_descriptors(
+            kernel.platform.num_processors, cur_types[members], num_ready[members],
+            layout.scales[members], r_idx, remaining,
         )
-    return out
+        for m, row in zip(members.tolist(), rows.tolist()):
+            if allow_passes[m] is None:  # ∅ is legal while a task runs
+                allow[m] = kernel.running[row].any()
+
+    # current-processor context, broadcast to every node of its member
+    node_idx = np.arange(n_total)
+    type_col = layout.raw_width + cur_types[graph_ids]
+    exp_current_col = layout.raw_width + NUM_RESOURCE_TYPES + 1
+    feats[:, exp_current_col] = feats[node_idx, type_col]
+    feats[node_idx, type_col + (NUM_RESOURCE_TYPES + 2)] = 1.0
+    if layout.aged is not None:  # the template holds each node's arrival instant
+        sel = layout.aged if isinstance(layout.aged, slice) else layout.aged[nodes]
+        times = np.empty(k, dtype=np.float64)
+        for kernel, members, rows, _ids, _id_rows in layout.kernels:
+            times[members] = kernel.time[rows]
+        owner = graph_ids[sel]
+        last = layout.width - 1
+        feats[sel, last] = (times[owner] - feats[sel, last]) / layout.age_scale[owner]
+
+    # normalised adjacency: in-window neighbours, D^-1/2 (A+I) D^-1/2
+    positions = remap[layout.neighbours[nodes]]
+    keep = positions >= 0
+    src, _slot = np.nonzero(keep)
+    cols = positions[keep]
+    degrees = np.bincount(src, minlength=n_total)
+    inv_sqrt = 1.0 / np.sqrt(degrees.astype(np.float64))
+    indptr = np.zeros(n_total + 1, dtype=np.int32)
+    degrees.cumsum(out=indptr[1:])
+
+    return ObservationBatch(
+        feats=feats,
+        node_offsets=node_offsets,
+        graph_ids=graph_ids,
+        tasks=layout.task[nodes],
+        adj_data=inv_sqrt[src] * inv_sqrt[cols],
+        adj_indices=cols.astype(np.int32),
+        adj_indptr=indptr,
+        ready_rows=ready_rows,
+        num_ready=num_ready,
+        current_procs=procs_arr,
+        allow_pass=allow,
+        proc_features=proc_features,
+        sparse=layout.sparse,
+        extra_node_features=layout.extra,
+    )

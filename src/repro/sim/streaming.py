@@ -47,7 +47,7 @@ from repro.graphs.workloads import Workload
 from repro.platforms.noise import NoiseModel
 from repro.platforms.resources import Platform
 from repro.schedulers.heft import heft_makespan
-from repro.sim.env import ResetResult, SchedulingEnv, StepResult
+from repro.sim.env import SchedulingEnv, StepResult
 from repro.sim.kernel import IDLE
 from repro.sim.state import Observation, StateBuilder
 from repro.sim.vec_env import VecSchedulingEnv
@@ -246,38 +246,22 @@ class JobStateBuilder(StateBuilder):
     """
 
     extra_node_features = 2
+    _TEMPLATE_KEY = "_cached_job_feature_template"
 
-    def build(
-        self,
-        sim,
-        current_proc: int,
-        allow_pass: Optional[bool] = None,
-        *,
-        busy: Optional[np.ndarray] = None,
-        remaining: Optional[np.ndarray] = None,
-    ) -> Observation:
-        built = super().build(
-            sim, current_proc, allow_pass=allow_pass, busy=busy,
-            remaining=remaining,
-        )
-        meta = sim.graph.__dict__["_streaming_jobs"]
-        assert built.window_fingerprint is not None
-        nodes = np.frombuffer(built.window_fingerprint, dtype=np.int64)
-        jobs = meta["job_of"][nodes]
-        extra = np.empty((nodes.size, 2), dtype=np.float64)
-        extra[:, 0] = (jobs + 1) / len(meta["arrivals"])
-        extra[:, 1] = (sim.time - meta["arrivals"][jobs]) / meta["mean_ideal"]
-        built.features = np.concatenate((built.features, extra), axis=1)
-        built.extra_node_features = 2
-        return built
+    def _make_template(self, graph: TaskGraph) -> "tuple[np.ndarray, int]":
+        """The base template plus the job-id column and, where the arrival
+        age goes, each node's arrival instant (:meth:`_age_scale`)."""
+        base, raw_width = super()._make_template(graph)
+        meta = graph.__dict__["_streaming_jobs"]
+        jobs = meta["job_of"]
+        template = np.empty((base.shape[0], base.shape[1] + 2), dtype=np.float64)
+        template[:, :-2] = base
+        template[:, -2] = (jobs + 1) / len(meta["arrivals"])
+        template[:, -1] = meta["arrivals"][jobs]
+        return template, raw_width
 
-    def build_terminal(self, sim) -> Observation:
-        built = super().build_terminal(sim)
-        built.features = np.zeros(
-            (0, built.features.shape[1] + 2), dtype=np.float64
-        )
-        built.extra_node_features = 2
-        return built
+    def _age_scale(self, graph: TaskGraph) -> float:
+        return graph.__dict__["_streaming_jobs"]["mean_ideal"]
 
 
 # --------------------------------------------------------------------- #
@@ -489,10 +473,10 @@ class StreamingSchedulingEnv(SchedulingEnv):
         legalises ∅ with nothing running and no other processor to ask."""
         return super()._event_pending() or self._released < self._episode_jobs
 
-    def _next_decision(self) -> Optional[Observation]:
+    def _advance_to_decision(self) -> "Optional[tuple[int, bool]]":
         if self._pending_init:
             self._init_episode_gating()
-        return super()._next_decision()
+        return super()._advance_to_decision()
 
     def _before_advance(self) -> bool:
         """The next event is ``min(next completion, next arrival)``.
@@ -527,11 +511,11 @@ class StreamingSchedulingEnv(SchedulingEnv):
         self._release_due()
         super()._after_advance()
 
-    def reset(self, seed: SeedLike = None) -> ResetResult:
-        result = super().reset(seed=seed)
-        result.info["num_jobs"] = self._episode_jobs
-        result.info["arrivals"] = self._arrival_times.tolist()
-        return result
+    def _reset_info(self) -> dict:
+        info = super()._reset_info()
+        info["num_jobs"] = self._episode_jobs
+        info["arrivals"] = self._arrival_times.tolist()
+        return info
 
     def _finish_step(self, next_obs: Optional[Observation]) -> StepResult:
         sim = self.sim

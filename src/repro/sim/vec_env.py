@@ -23,24 +23,28 @@ Semantics mirror the classic gym ``VecEnv`` contract:
 Since the struct-of-arrays refactor (DESIGN.md §11), compatible members
 share one :class:`~repro.sim.kernel.SimKernel`: their episode state lives in
 ``(K, ·)`` rows of common arrays, and auto-reset is a masked re-init of the
-finished rows.  :meth:`step` has one implementation, a wave loop: members at
-a decision point get their observations through one batched dynamic-state
-gather (:func:`repro.sim.state.build_observations`), and members waiting on
-an event advance with one ``SimKernel.advance_rows`` call per kernel.  The
-env hooks ``_before_advance``/``_after_advance`` carry what differs between
-member types (a streaming member's next event may be a job arrival, which
-only moves its clock), and grouping by kernel lets structurally
-heterogeneous members, each on a private kernel, run the same loop.  Every
-member keeps a private RNG stream, so the wave loop consumes each stream in
-exactly the single-env order and the results are bit-identical to stepping
-standalone environments one by one (``tests/sim/test_vec_parity.py``).
-Tracing does not change the path: a traced step emits one ``decision`` span
-(``batch=K``) and one ``state_build`` span per batched build.
+finished rows.  :meth:`step` has one implementation, a wave loop: a member
+at a decision point draws its processor and leaves the loop, and members
+waiting on an event advance with one ``SimKernel.advance_rows`` call per
+kernel.  Once every member is at a decision point (auto-reset members
+included: their reset hook stops at the first decision point), one
+:func:`repro.sim.state.build_observations` call builds all K observations,
+so ``step(...).obs`` and ``reset().obs`` are one
+:class:`~repro.sim.state.ObservationBatch` in member order.  The env hooks
+``_before_advance``/``_after_advance`` carry what differs between member
+types (a streaming member's next event may be a job arrival, which only
+moves its clock), and grouping by kernel lets structurally heterogeneous
+members, each on a private kernel, run the same loop.  Every member keeps a
+private RNG stream, so the wave loop consumes each stream in exactly the
+single-env order and the results are bit-identical to stepping standalone
+environments one by one (``tests/sim/test_vec_parity.py``).  Tracing does
+not change the path: a traced step emits one ``decision`` span
+(``batch=K``) and the step's one ``state_build`` span.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from repro import obs
 from repro.sim.env import SchedulingEnv
 from repro.sim.kernel import SimKernel
 from repro.sim.state import (
-    Observation,
+    ObservationBatch,
     build_observations,
     observation_feature_dim,
 )
@@ -59,10 +63,11 @@ class VecResetResult(NamedTuple):
     """Typed result of :meth:`VecSchedulingEnv.reset` (the Gym 0.26 shape).
 
     Unpacks as the protocol's ``obs, infos = vec_env.reset(seed=...)``
-    2-tuple; ``obs[k]``/``infos[k]`` belong to member ``k``.
+    2-tuple; ``obs[k]``/``infos[k]`` belong to member ``k`` (``obs`` is one
+    :class:`~repro.sim.state.ObservationBatch`).
     """
 
-    obs: List[Observation]
+    obs: ObservationBatch
     infos: List[dict]
 
 
@@ -74,7 +79,7 @@ class VecStepResult(NamedTuple):
     should prefer field access.
     """
 
-    obs: List[Observation]
+    obs: ObservationBatch
     """next decision point per member (post-reset observation when done)"""
     rewards: np.ndarray
     dones: np.ndarray
@@ -184,17 +189,38 @@ class VecSchedulingEnv:
         ad-hoc per-member offsets — so no two members (or any other consumer
         spawned from the same root elsewhere) can collide on an RNG stream.
         With a shared kernel each member reset is a masked re-init of its
-        row, so no episode state is allocated per reset.
+        row, so no episode state is allocated per reset.  The K first
+        observations are built as one batch.
         """
         if seed is not None:
             member_seeds = spawn_seed_sequences(seed, self.num_envs)
-            results = [
-                env.reset(seed=child)
+            decisions = [
+                env._begin_episode(seed=child)
                 for env, child in zip(self.envs, member_seeds)
             ]
         else:
-            results = [env.reset() for env in self.envs]
-        return VecResetResult([r.obs for r in results], [r.info for r in results])
+            decisions = [env._begin_episode() for env in self.envs]
+        tracer = obs.TRACER
+        handle = (
+            tracer.begin("state_build", reset=self.num_envs)
+            if tracer.enabled
+            else None
+        )
+        batch = self._build([(i, *d) for i, d in enumerate(decisions)])
+        if handle is not None:
+            tracer.end(handle, nodes=int(batch.node_offsets[-1]))
+        for env, ob in zip(self.envs, batch):
+            env._current_obs = ob
+        return VecResetResult(batch, [env._reset_info() for env in self.envs])
+
+    def _build(self, decided: List[tuple]) -> ObservationBatch:
+        """One batch from ``(member, proc, allow_pass)`` triples."""
+        return build_observations(
+            [self.envs[i].state_builder for i, _p, _a in decided],
+            [self.envs[i].sim for i, _p, _a in decided],
+            [proc for _i, proc, _a in decided],
+            [allow for _i, _p, allow in decided],
+        )
 
     def step(self, actions: Sequence[int]) -> VecStepResult:
         """Apply one action per member; auto-reset finished members.
@@ -210,62 +236,68 @@ class VecSchedulingEnv:
         k = self.num_envs
         if len(actions) != k:
             raise ValueError(f"expected {k} actions, got {len(actions)}")
+        return self._step_members(range(k), actions)
+
+    def _step_members(
+        self,
+        members: Sequence[int],
+        actions: Sequence[int],
+        final: Collection[int] = (),
+    ) -> VecStepResult:
+        """:meth:`step` for the ascending ``members`` only, one action each.
+
+        ``rewards``/``dones``/``infos`` align with ``members``.  A member of
+        ``final`` whose episode ends is not reset and has no observation, so
+        ``obs`` holds the other members in order (``None`` when none is
+        left) — what lockstep evaluation with per-member episode quotas
+        needs.
+        """
+        members = list(members)
         actions = [int(a) for a in actions]
-        currents = [env._check_action(a) for env, a in zip(self.envs, actions)]
+        currents = [
+            self.envs[i]._check_action(a) for i, a in zip(members, actions)
+        ]
         tracer = obs.TRACER
-        handle = tracer.begin("decision", batch=k) if tracer.enabled else None
-        for env, current, action in zip(self.envs, currents, actions):
-            env._apply_action(current, action)
-        observations: List[Optional[Observation]] = [None] * k
-        rewards = np.empty(k, dtype=np.float64)
-        dones = np.zeros(k, dtype=bool)
-        infos: List[Optional[dict]] = [None] * k
-        pending = list(range(k))
+        handle = (
+            tracer.begin("decision", batch=len(members)) if tracer.enabled else None
+        )
+        for i, current, action in zip(members, currents, actions):
+            self.envs[i]._apply_action(current, action)
+        slot = {i: j for j, i in enumerate(members)}
+        rewards = np.empty(len(members), dtype=np.float64)
+        dones = np.zeros(len(members), dtype=bool)
+        infos: List[Optional[dict]] = [None] * len(members)
+        # a member that reaches its decision point is not advanced again in
+        # this step, so every member's observation is built in one batch
+        # after the loop: (member, proc, allow_pass)
+        decided: List[tuple] = []
+        pending = members
         while pending:
-            decided: List[tuple] = []  # (member, proc, allow_pass)
             waiting: List[int] = []
             for i in pending:
                 env = self.envs[i]
                 sim = env.sim
                 if sim.done:
                     result = env._finish_step(None)
-                    rewards[i] = result.reward
-                    dones[i] = True
+                    rewards[slot[i]] = result.reward
+                    dones[slot[i]] = True
                     info = dict(result.info)
                     # stash the terminal observation before the re-init
                     # below overwrites the row (gym convention)
                     info["terminal_observation"] = (
                         env.state_builder.build_terminal(sim)
                     )
-                    infos[i] = info
-                    # auto-reset continues the member's own RNG stream; the
-                    # fresh episode opens at a decision point
-                    observations[i] = env.reset().obs
+                    infos[slot[i]] = info
+                    if i not in final:
+                        # auto-reset continues the member's own RNG stream;
+                        # the fresh episode opens at a decision point
+                        decided.append((i, *env._begin_episode()))
                     continue
                 candidates = env._decision_candidates()
                 if candidates is not None:
                     decided.append((i, *env._draw_proc(candidates)))
                 else:
                     waiting.append(i)
-            if decided:
-                build = (
-                    tracer.begin("state_build", batch=len(decided))
-                    if handle is not None
-                    else None
-                )
-                built = build_observations(
-                    [self.envs[i].state_builder for i, _p, _a in decided],
-                    [self.envs[i].sim for i, _p, _a in decided],
-                    [proc for _i, proc, _a in decided],
-                    [allow for _i, _p, allow in decided],
-                )
-                if build is not None:
-                    tracer.end(build, nodes=sum(ob.num_nodes for ob in built))
-                for (i, _proc, _allow), ob in zip(decided, built):
-                    result = self.envs[i]._finish_step(ob)
-                    rewards[i] = result.reward
-                    infos[i] = result.info
-                    observations[i] = ob
             if waiting:
                 # one advance_rows per kernel for the members whose next
                 # event is a completion; the hooks handle every other event
@@ -279,6 +311,25 @@ class VecSchedulingEnv:
                 for i in waiting:
                     self.envs[i]._after_advance()
             pending = waiting
+        batch = None
+        if decided:
+            decided.sort(key=lambda d: d[0])
+            build = (
+                tracer.begin("state_build", batch=len(decided))
+                if handle is not None
+                else None
+            )
+            batch = self._build(decided)
+            if build is not None:
+                tracer.end(build, nodes=int(batch.node_offsets[-1]))
+            for (i, _proc, _allow), ob in zip(decided, batch):
+                env = self.envs[i]
+                if dones[slot[i]]:
+                    env._current_obs = ob
+                else:
+                    result = env._finish_step(ob)
+                    rewards[slot[i]] = result.reward
+                    infos[slot[i]] = result.info
         if handle is not None:
             tracer.end(handle, done=int(dones.sum()))
-        return VecStepResult(observations, rewards, dones, infos)
+        return VecStepResult(batch, rewards, dones, infos)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.layers import gcn_normalize_adjacency
+from repro.rl.agent import segment_argmax
 from repro.sim.state import PROC_FEATURE_DIM, Observation
 from tests.rl.test_agent import make_agent
 
@@ -152,6 +153,28 @@ class TestBatchedPolicyHelpers:
         assert actions.dtype == np.int64
         for obs, a in zip(self.obs_list, actions):
             assert int(a) == self.agent.greedy_action(obs)
+
+    def test_segment_argmax_keeps_the_first_maximum(self):
+        flat = np.array([1.0, 3.0, 3.0, 0.5, -2.0, -2.0, 7.0, 7.0, 7.0])
+        offsets = np.array([0, 3, 4, 6, 9])
+        got = segment_argmax(flat, offsets)
+        want = [int(np.argmax(flat[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
+        assert got.dtype == np.int64
+        assert got.tolist() == want == [1, 0, 0, 0]
+        flat[4] = np.nan  # argmax answers the first NaN
+        assert segment_argmax(flat, offsets).tolist() == [1, 0, 0, 0]
+        flat[5] = np.nan
+        flat[1] = np.nan
+        assert segment_argmax(flat, offsets).tolist() == [1, 0, 0, 0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+                    min_size=1, max_size=8))
+    def test_segment_argmax_matches_argmax(self, segments):
+        flat = np.concatenate([np.asarray(s, dtype=np.float64) for s in segments])
+        offsets = np.concatenate(([0], np.cumsum([len(s) for s in segments])))
+        want = [int(np.argmax(np.asarray(s, dtype=np.float64))) for s in segments]
+        assert segment_argmax(flat, offsets).tolist() == want
 
     def test_state_values_match_single(self):
         values = self.agent.state_values(self.obs_list)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
-from repro.platforms.noise import NoNoise
+from repro.platforms.noise import GaussianNoise, NoNoise
 from repro.platforms.resources import Platform
 from repro.rl.a2c import A2CConfig, A2CUpdater, Transition
 from repro.rl.trainer import ReadysTrainer, default_agent, evaluate_agent
@@ -159,6 +159,51 @@ class TestVecEvaluation:
         for env in make_vec(3, seed=21).envs:
             singles.extend(evaluate_agent(agent, env, episodes=1))
         assert batched == pytest.approx(singles)
+
+    def test_lockstep_evaluation_matches_the_per_member_step_loop(self):
+        """Lockstep evaluation steps its members through one batched step
+        but consumes every RNG exactly as stepping each member alone did:
+        sampled actions, noisy durations, uneven quotas and a second call
+        on the same envs all reproduce the per-member loop bitwise."""
+
+        def per_member(agent, vec, episodes, rng):
+            k = vec.num_envs
+            quotas = [episodes // k + (1 if i < episodes % k else 0) for i in range(k)]
+            makespans = [[] for _ in range(k)]
+            active = [i for i in range(k) if quotas[i] > 0]
+            obs = {i: vec.envs[i].reset().obs for i in active}
+            while active:
+                actions = agent.sample_actions([obs[i] for i in active], rng)
+                still = []
+                for i, action in zip(active, actions):
+                    result = vec.envs[i].step(int(action))
+                    if not result.done:
+                        obs[i] = result.obs
+                        still.append(i)
+                        continue
+                    makespans[i].append(result.info["makespan"])
+                    if len(makespans[i]) < quotas[i]:
+                        obs[i] = vec.envs[i].reset().obs
+                        still.append(i)
+                active = still
+            return [m for member in makespans for m in member]
+
+        def noisy_vec():
+            return VecSchedulingEnv.from_factory(
+                lambda rng: SchedulingEnv(
+                    cholesky_dag(3), Platform(2, 2), CHOLESKY_DURATIONS,
+                    GaussianNoise(0.3), window=2, rng=rng,
+                ),
+                3,
+                seed=5,
+            )
+
+        agent = default_agent(make_env(), rng=0)
+        vec, ref = noisy_vec(), noisy_vec()
+        rng, ref_rng = as_generator(9), as_generator(9)
+        for episodes in (5, 4):
+            got = evaluate_agent(agent, vec, episodes=episodes, greedy=False, rng=rng)
+            assert got == per_member(agent, ref, episodes, ref_rng)
 
     def test_sampled_vec_evaluation_runs(self):
         agent = default_agent(make_env(), rng=0)

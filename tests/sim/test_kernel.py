@@ -300,6 +300,28 @@ class TestPickling:
         traces_b = [_random_drive(s, rng_b) for s in clone.members]
         assert traces_a == traces_b
 
+    def test_old_pickle_rebuilds_task_types(self):
+        """A kernel pickled before ``task_types`` existed restores it from
+        its row graphs, and the type gathers read the same integers."""
+        graphs = [cholesky_dag(3), cholesky_dag(5)]
+        vec = VecSimulation(graphs, PLATFORM, CHOLESKY_DURATIONS, rng=[0, 1])
+        for sim in vec.members:
+            sim.start(int(sim.ready_tasks()[0]), 0)
+        state = vec.kernel.__getstate__()
+        del state["task_types"]
+        clone = SimKernel.__new__(SimKernel)
+        clone.__setstate__(state)
+        assert np.array_equal(clone.task_types, vec.kernel.task_types)
+        for row, graph in enumerate(graphs):
+            assert np.array_equal(
+                clone.task_types[row, : graph.num_tasks], graph.task_types
+            )
+        rows = np.asarray([0, 1])
+        assert np.array_equal(
+            clone.expected_remaining_rows(rows),
+            vec.kernel.expected_remaining_rows(rows),
+        )
+
     def test_kernel_pickle_drops_metric_handles(self):
         graph = cholesky_dag(4)
         vec = VecSimulation([graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)

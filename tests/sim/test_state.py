@@ -207,7 +207,7 @@ class TestFrozenMemos:
             key: graph.__dict__[key]
             for key in (
                 "_cached_type_fractions",
-                "_cached_dense_adjacency",
+                "_cached_neighbours",
                 "_cached_static_features",
             )
         }
@@ -231,82 +231,6 @@ class TestFrozenMemos:
         builder = StateBuilder(CHOLESKY_DURATIONS, window=2)
         obs = builder.build(sim, current_proc=0)
         obs.features[0, 0] = 0.5  # must not raise
-
-
-def drive_new_windows(sim, builder, want, skip=frozenset()):
-    """Progress ``sim``, yielding ``want`` observations with distinct window
-    fingerprints none of which are in ``skip`` (a generator, so callers can
-    interleave their own builds between insertions)."""
-    rng = np.random.default_rng(3)
-    seen = set(skip)
-    produced = 0
-    while produced < want and not sim.done:
-        ready = sim.ready_tasks()
-        idle = sim.idle_processors()
-        if ready.size and idle.size:
-            sim.start(int(rng.choice(ready)), int(idle[0]))
-        else:
-            sim.advance()
-        obs = builder.build(sim, 0)
-        if obs.window_fingerprint not in seen:
-            seen.add(obs.window_fingerprint)
-            produced += 1
-            yield obs
-    assert produced == want, "episode too short to generate distinct windows"
-
-
-class TestAdjacencyMemoLRU:
-    """The window-adjacency memo evicts oldest-first, not wholesale.
-
-    Regression for the pre-LRU behaviour where hitting the bound cleared the
-    whole cache — including the hot window of the current instant."""
-
-    def make_pair(self):
-        # two simulations over ONE graph object share its adjacency memo
-        graph = cholesky_dag(4)
-        plat = Platform(2, 2)
-        hot = Simulation(graph, plat, CHOLESKY_DURATIONS, NoNoise(), rng=0)
-        cold = Simulation(graph, plat, CHOLESKY_DURATIONS, NoNoise(), rng=1)
-        return graph, hot, cold
-
-    def test_hottest_key_survives_overflow(self):
-        graph, hot, cold = self.make_pair()
-        b = StateBuilder(CHOLESKY_DURATIONS, window=2)
-        b._ADJ_CACHE_MAX = 3
-        hot_obs = b.build(hot, 0)
-        cache = graph.__dict__["_cached_window_norm_adj"]
-        hot_key = (False, hot_obs.window_fingerprint)
-        hot_adj = cache[hot_key]
-        # flood the memo with fresh windows, re-touching the hot one between
-        # each — recency refresh must keep it resident past the bound
-        for obs in drive_new_windows(
-            cold, b, want=4, skip={hot_obs.window_fingerprint}
-        ):
-            assert b.build(hot, 0).norm_adj is hot_adj  # refresh + still memoised
-        assert hot_key in cache
-        assert len(cache) <= 3
-
-    def test_eviction_drops_oldest_untouched_key(self):
-        graph, hot, cold = self.make_pair()
-        b = StateBuilder(CHOLESKY_DURATIONS, window=2)
-        b._ADJ_CACHE_MAX = 3
-        first = b.build(hot, 0)
-        cache = graph.__dict__["_cached_window_norm_adj"]
-        # never touch ``first`` again: three fresh windows must push it out
-        list(drive_new_windows(cold, b, want=3, skip={first.window_fingerprint}))
-        assert (False, first.window_fingerprint) not in cache
-        assert len(cache) <= 3
-
-    def test_sparse_and_dense_keys_do_not_collide(self):
-        graph, hot, _ = self.make_pair()
-        dense = StateBuilder(CHOLESKY_DURATIONS, window=2)
-        sparse = StateBuilder(CHOLESKY_DURATIONS, window=2, sparse=True)
-        od = dense.build(hot, 0)
-        os_ = sparse.build(hot, 0)
-        assert od.window_fingerprint == os_.window_fingerprint
-        cache = graph.__dict__["_cached_window_norm_adj"]
-        assert (False, od.window_fingerprint) in cache
-        assert (True, os_.window_fingerprint) in cache
 
 
 class TestProcDescriptorAgreement:

@@ -8,7 +8,7 @@ episode boundaries and info dicts must be bit-identical to stepping K
 standalone environments (each on its own private kernel) one by one.  These
 tests pin that contract (they are what the CI ``sim-parity`` job runs),
 plus the gym ``terminal_observation`` convention and the batched
-``StateBuilder.build_many`` gather.
+``build_observations`` against the frozen reference build.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from repro.sim.streaming import (
     VecStreamingEnv,
 )
 from repro.utils.seeding import spawn_generators
+from tests.sim.reference_state import assert_matches_reference
 
 PLATFORM = Platform(2, 2)
 
@@ -245,23 +246,22 @@ def test_terminal_observation_present_only_on_done_members():
     assert saw_done >= 3
 
 
-def test_build_many_matches_per_member_build():
+def test_batched_build_matches_reference():
+    """One ``build_observations`` call over a shared kernel equals the
+    frozen per-member reference build, member by member."""
     vec, _ = _twin_vecs(3)
     vec.reset()
     envs = vec.envs
     sims = [e.sim for e in envs]
     procs = [int(s.idle_processors()[0]) for s in sims]
-    builders = [e.state_builder for e in envs]
-    batched = builders[0].build_many(sims, procs, [True] * 3)
-    singles = [
-        b.build(s, p, allow_pass=True) for b, s, p in zip(builders, sims, procs)
-    ]
-    for i, (a, b) in enumerate(zip(batched, singles)):
-        _assert_obs_equal(a, b, i)
+    batched = build_observations(
+        [e.state_builder for e in envs], sims, procs, [True] * 3
+    )
+    assert_matches_reference(envs, batched)
 
 
 def test_build_observations_mixed_kernels():
-    """Members from different kernels batch correctly (grouped gathers)."""
+    """Members from different kernels batch correctly (per-kernel passes)."""
     vec_a, vec_b = _twin_vecs(2)
     vec_a.reset()
     vec_b.reset()
@@ -271,9 +271,7 @@ def test_build_observations_mixed_kernels():
     built = build_observations(
         [e.state_builder for e in envs], sims, procs, [True] * 4
     )
-    for i, (env, ob) in enumerate(zip(envs, built)):
-        ref = env.state_builder.build(env.sim, procs[i], allow_pass=True)
-        _assert_obs_equal(ob, ref, i)
+    assert_matches_reference(envs, built)
 
 
 def test_heterogeneous_members_run_the_wave_loop():
