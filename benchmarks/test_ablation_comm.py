@@ -9,7 +9,6 @@ delays ≪ kernel durations (validating the assumption) and comm-aware
 planning pulls ahead as delays grow.
 """
 
-import numpy as np
 import pytest
 
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag

@@ -8,7 +8,6 @@ the sensitivity of each knob can be compared against the defaults.
 """
 
 import numpy as np
-import pytest
 
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag
 from repro.platforms import GaussianNoise, Platform

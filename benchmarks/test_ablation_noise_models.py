@@ -10,7 +10,6 @@ worst under the right-skewed ones; the dynamic scheduler stays close to its
 """
 
 import numpy as np
-import pytest
 
 from repro.eval.compare import evaluate_baseline
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag

@@ -10,7 +10,6 @@ GPU-heavy noise propagates straight into the makespan.
 """
 
 import numpy as np
-import pytest
 
 from repro.eval.compare import evaluate_baseline
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag

@@ -7,7 +7,6 @@ hundred tasks), quantifying when the sparse path starts paying off.
 """
 
 import numpy as np
-import pytest
 
 from repro.eval.profiling import inference_timing
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag

@@ -21,8 +21,6 @@ import json
 import os
 import time
 
-import numpy as np
-
 from repro.graphs import workloads
 from repro.platforms import NoNoise, Platform
 from repro.schedulers import OnlineMCTScheduler

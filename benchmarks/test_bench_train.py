@@ -4,11 +4,13 @@ The update phase of one gradient step — forward + backward + grad-clip +
 Adam on a fixed batch of pre-collected transitions — is timed two ways:
 
 * **reference** — the autograd tape (build graph, run backward closures,
-  per-parameter clip + Adam), exactly what ``--no-compiled-train`` runs.
+  per-parameter clip + Adam): the path an updater takes when its training
+  compiler refuses, forced here with :func:`tests.reference_tape.reference_tape`.
 * **compiled** — the :class:`repro.nn.compile.TrainingCompiler` replay:
   fused forward/backward kernels writing into the gradient arena, then one
-  flat clip + Adam pass (``--compiled-train``).  The capture + bitwise
-  validation round is excluded via warm-up, matching steady-state training.
+  flat clip + Adam pass — what every training run executes.  The capture +
+  bitwise validation round is excluded via warm-up, matching steady-state
+  training.
 
 A2C is swept over K ∈ {1, 4, 8, 16} lockstep environments on the Cholesky
 T=6 training config (``A2CConfig`` defaults, unroll_length=40); PPO runs
@@ -29,6 +31,11 @@ from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.trainer import ReadysTrainer, default_agent
 from repro.spec import ExperimentSpec
 from repro.utils.tables import format_table
+from tests.reference_tape import (
+    assert_ran_compiled,
+    assert_ran_on_tape,
+    reference_tape,
+)
 
 MEMBER_COUNTS = (1, 4, 8, 16)
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_train.json")
@@ -55,16 +62,17 @@ def _a2c_update_times(num_envs: int, rounds: int = 20) -> dict:
     unrolls, boots = collector._collect_unrolls()
 
     ref = ReadysTrainer.from_spec(_a2c_spec(num_envs), config=A2CConfig())
-    ref.updater.update_batch(unrolls, boots)  # warm caches
-    t_ref = _best_of(lambda: ref.updater.update_batch(unrolls, boots), rounds)
+    with reference_tape():
+        ref.updater.update_batch(unrolls, boots)  # warm caches
+        t_ref = _best_of(lambda: ref.updater.update_batch(unrolls, boots), rounds)
+    assert_ran_on_tape(ref.updater.train_compile_stats())
 
     cmp_ = ReadysTrainer.from_spec(_a2c_spec(num_envs), config=A2CConfig())
-    cmp_.updater.enable_compiled_train()
     cmp_.updater.update_batch(unrolls, boots)  # warm: capture + validate
     t_cmp = _best_of(lambda: cmp_.updater.update_batch(unrolls, boots), rounds)
 
     stats = cmp_.updater.train_compile_stats()
-    assert stats["fallbacks"] == 0 and stats["validation_failures"] == 0, stats
+    assert_ran_compiled(stats)
     assert stats["replays"] > 0, stats
     return {
         "reference_s": t_ref,
@@ -88,16 +96,17 @@ def _ppo_update_times(rounds: int = 10) -> dict:
     transitions, bootstrap = collector.collect_rollout()
 
     ref = make_trainer()
-    ref.update(transitions, bootstrap)  # warm caches
-    t_ref = _best_of(lambda: ref.update(transitions, bootstrap), rounds)
+    with reference_tape():
+        ref.update(transitions, bootstrap)  # warm caches
+        t_ref = _best_of(lambda: ref.update(transitions, bootstrap), rounds)
+    assert_ran_on_tape(ref.train_compile_stats())
 
     cmp_ = make_trainer()
-    cmp_.enable_compiled_train()
     cmp_.update(transitions, bootstrap)  # warm: capture + validate
     t_cmp = _best_of(lambda: cmp_.update(transitions, bootstrap), rounds)
 
     stats = cmp_.train_compile_stats()
-    assert stats["fallbacks"] == 0 and stats["validation_failures"] == 0, stats
+    assert_ran_compiled(stats)
     assert stats["replays"] > 0, stats
     return {
         "reference_s": t_ref,

@@ -10,7 +10,6 @@ Expected shape: vs-HEFT near (or below) 1 at σ=0 and increasing with σ;
 vs-MCT roughly flat in σ for the larger graphs.
 """
 
-import numpy as np
 import pytest
 
 from repro.platforms import Platform

@@ -23,7 +23,6 @@ from repro import (
     Platform,
     SchedulingEnv,
     cholesky_dag,
-    heft_makespan,
 )
 from repro.eval.compare import evaluate_baseline, evaluate_readys
 from repro.rl.a2c import A2CConfig

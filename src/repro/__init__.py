@@ -17,7 +17,8 @@ Quickstart (spec-first — the one true entrypoint)::
     print(evaluate_agent(trainer.agent, make_env(spec), episodes=5, rng=1))
 
 Custom environments/agents compose via ``ReadysTrainer.from_components``;
-the loose-kwarg ``ReadysTrainer(env, ...)`` constructor is a deprecated shim.
+the loose-kwarg ``ReadysTrainer(env, ...)`` constructor was removed and
+raises ``TypeError`` naming both factories.
 """
 
 __version__ = "1.0.0"

@@ -156,8 +156,7 @@ class _Checker(ast.NodeVisitor):
                     "RPR008",
                     f"import of '{alias.name}' outside nn/, tests or "
                     f"benchmarks; use the repro.nn re-exports "
-                    f"(TrainingCompiler, TrainStats) or "
-                    f"A2CUpdater.enable_compiled_train",
+                    f"(TrainingCompiler, TrainStats)",
                 )
         self.generic_visit(node)
 

@@ -120,8 +120,8 @@ RULES: Dict[str, Rule] = dict(
             rationale="The training compiler's capture and plan types are "
             "private, and the C fusion core's kernels are only sound behind "
             "its capture-time validation; consumers use the public "
-            "re-exports or `enable_compiled_train` so the engine can evolve "
-            "freely. "
+            "`repro.nn` re-exports (`TrainingCompiler`, `TrainStats`) so the "
+            "engine can evolve freely. "
             "Generalized by RPR100's whole-project layer contract.",
         ),
         _rule(

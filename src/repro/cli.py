@@ -134,21 +134,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec.from_args(args)
 
 
-def _add_compiled_train_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compiled-train", action=argparse.BooleanOptionalAction, default=False,
-        help="capture/replay compiled gradient updates: fused forward + "
-             "backward + Adam kernels, validated bit-identical against the "
-             "autograd tape at capture time (learning curves are unchanged)",
-    )
-
-
 def _print_train_compile_stats(trainer) -> None:
     """One status line of training-compiler counters (plans, validation)."""
-    stats_fn = getattr(getattr(trainer, "updater", None), "train_compile_stats", None)
-    stats = stats_fn() if stats_fn is not None else None
-    if stats is None:
-        return
+    stats = trainer.updater.train_compile_stats()
     print(
         "compiled-train: {captures} captures / {replays} replays "
         "(hit rate {rate:.3f}), fallbacks {fallbacks}, "
@@ -276,9 +264,7 @@ def cmd_train(args) -> int:
             checkpoint_every=spec.checkpoint_every,
             checkpoint_path=args.checkpoint,
         )
-        train_comp = getattr(trainer.updater, "_train_compiler", None)
-        if train_comp is not None:
-            train_comp.publish_metrics(obs.METRICS)
+        trainer.updater._train_compiler.publish_metrics(obs.METRICS)
     ms = trainer.result.episode_makespans
     _print_train_compile_stats(trainer)
     if spec.workload.is_streaming:
@@ -482,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    # exact flag names only: a bare ``--compiled`` must not resolve to
-    # ``--compiled-train`` by prefix
+    # exact flag names only: a mistyped or retired flag fails instead of
+    # resolving to a live one by prefix
     p_train = sub.add_parser(
         "train", help="train a READYS agent", allow_abbrev=False
     )
@@ -516,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "checkpoint")
     p_train.add_argument("--out", default=None,
                          help="weight-only agent checkpoint (.npz) output path")
-    _add_compiled_train_arg(p_train)
     _add_obs_args(p_train)
     _add_workload_args(p_train)
     p_train.set_defaults(func=cmd_train)

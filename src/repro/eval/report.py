@@ -9,7 +9,7 @@ committed — as one document.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: result-file prefix → (section title, paper reference)
 SECTIONS: List[Tuple[str, str, str]] = [

@@ -19,7 +19,7 @@ which scheduler wins (see DESIGN.md, substitution table).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 

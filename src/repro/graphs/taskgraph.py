@@ -8,7 +8,7 @@ whole-graph sweeps are NumPy ops rather than Python loops over edges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 

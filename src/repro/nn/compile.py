@@ -41,6 +41,9 @@ except ImportError:  # pragma: no cover - exotic scipy builds
 #: shifts, clip masks), so the taint is a note, not a structural refusal.
 _DATA_CONSTANT_OPS = ("segment_log_softmax", "clipped_surrogate")
 
+#: live plans kept per engine; the least recently used one is evicted
+MAX_PLANS = 8
+
 
 def _csr_matmul_out(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[:] = csr @ x`` without allocating — bitwise equal to ``csr @ x``
@@ -189,7 +192,7 @@ class TrainingCompiler:
     view — **borrowed** memory, overwritten by the next replay.
     """
 
-    def __init__(self, agent: Any, optimizer: Any, *, max_plans: int = 8) -> None:
+    def __init__(self, agent: Any, optimizer: Any) -> None:
         from repro.nn.optim import Adam
 
         if not isinstance(optimizer, Adam):
@@ -202,11 +205,8 @@ class TrainingCompiler:
                 "compiled training requires weight_decay == 0 (the fused "
                 f"step has no decay term); got {optimizer.weight_decay}"
             )
-        if max_plans < 1:
-            raise ValueError(f"max_plans must be >= 1, got {max_plans}")
         self.agent = agent
         self.optimizer = optimizer
-        self.max_plans = max_plans
         self.stats = TrainStats()
         self.tracer: Any = None  # duck-typed obs tracer, set by the updater
         self._plans: "OrderedDict[Any, _TrainPlan]" = OrderedDict()
@@ -395,7 +395,7 @@ class TrainingCompiler:
             return self._finish_reference(aux, max_norm)
         self._plans[key] = plan
         self.stats.captures += 1
-        if len(self._plans) > self.max_plans:
+        if len(self._plans) > MAX_PLANS:
             self._plans.popitem(last=False)
             self.stats.plan_evictions += 1
         # finish through the reference arrays: the arena holds bitwise-equal

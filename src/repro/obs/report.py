@@ -8,11 +8,11 @@ in a vectorised run one ``decision`` span is one lockstep step of all K
 members, ``batch=K``, and a ``state_build`` span carrying ``batch`` is one
 batched build),
 the gradient-update phase breakdown (forward / backward / optimizer shares,
-emitted by both the reference tape and the ``--compiled-train`` replay, so
-the two engines' per-phase costs are directly comparable), the learning
-curve (bucketed episode makespans, from the metrics series when available,
-else from ``episode_end`` trace events), training diagnostics and simulator
-utilization.
+emitted by both the compiled replay and the reference tape an update falls
+back to, so the two engines' per-phase costs are directly comparable), the
+learning curve (bucketed episode makespans, from the metrics series when
+available, else from ``episode_end`` trace events), training diagnostics
+and simulator utilization.
 """
 
 from __future__ import annotations

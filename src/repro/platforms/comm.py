@@ -15,7 +15,7 @@ CPU→GPU PCIe transfers cost more than CPU→CPU shared memory).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

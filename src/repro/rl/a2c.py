@@ -19,11 +19,12 @@ The paper grid-searches ``unroll_length ∈ {20, 40, 60, 80}`` and uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.nn import TrainingCompiler
 from repro.nn import functional as F
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
@@ -123,40 +124,14 @@ class A2CUpdater:
         self.agent = agent
         self.config = config if config is not None else A2CConfig()
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
-        self._train_compiler = None
+        # updates replay as fused kernels validated bitwise against the tape
+        # at capture time; shapes the engine refuses run the tape itself
+        self._train_compiler = TrainingCompiler(agent, self.optimizer)
+        self._train_compiler.tracer = obs.TRACER
 
-    # ------------------------------------------------------------------ #
-    # compiled-training control
-    # ------------------------------------------------------------------ #
-
-    def enable_compiled_train(self, max_plans: int = 8) -> None:
-        """Route updates through the grad-mode capture/replay engine.
-
-        Transparent: shapes or constructions the engine cannot prove
-        bitwise-identical fall back to the reference tape automatically.
-        """
-        if self._train_compiler is None:
-            from repro.nn.compile import TrainingCompiler
-
-            compiler = TrainingCompiler(
-                self.agent, self.optimizer, max_plans=max_plans
-            )
-            compiler.tracer = obs.TRACER
-            self._train_compiler = compiler
-
-    def disable_compiled_train(self) -> None:
-        """Drop the training compiler; updates run the reference tape."""
-        self._train_compiler = None
-
-    @property
-    def compiled_train(self) -> bool:
-        """Whether updates currently route through the training compiler."""
-        return self._train_compiler is not None
-
-    def train_compile_stats(self) -> Optional[Dict[str, float]]:
-        """Plan/fallback counters of the training compiler (None if off)."""
-        comp = self._train_compiler
-        return None if comp is None else comp.stats_dict()
+    def train_compile_stats(self) -> Dict[str, float]:
+        """Plan/fallback counters of the training compiler."""
+        return self._train_compiler.stats_dict()
 
     def compute_returns(
         self, transitions: List[Transition], bootstrap_value: float
@@ -213,10 +188,20 @@ class A2CUpdater:
         normalize = cfg.normalize_advantage and n > 1
         mean_return = float(returns.mean())
 
-        comp = self._train_compiler
-        if comp is not None and n > 1:
-            glue = self.agent._batch_glue([t.obs for t in flat])
-            out = comp.update(
+        obs_list = [t.obs for t in flat]
+        glue = self.agent._batch_glue(obs_list) if n > 1 else None
+
+        def terms() -> Tuple[Tensor, Dict[str, float]]:
+            # a batch of one routes through forward(), bit-identical to it
+            if glue is None:
+                bf = self.agent.forward_batch_flat(obs_list)
+            else:
+                bf = self.agent._forward_glue(glue)
+            return self._loss_terms(bf, actions, returns, normalize)
+
+        out = None
+        if glue is not None:
+            out = self._train_compiler.update(
                 "a2c",
                 glue,
                 actions,
@@ -227,32 +212,26 @@ class A2CUpdater:
                     "normalize_advantage": normalize,
                     "max_grad_norm": cfg.max_grad_norm,
                 },
-                reference=lambda: self._reference_terms(
-                    glue, actions, returns, normalize
-                ),
+                reference=terms,
             )
-            if out is not None:
-                return UpdateStats(
-                    policy_loss=out["policy_loss"],
-                    value_loss=out["value_loss"],
-                    entropy=out["entropy"],
-                    grad_norm=out["grad_norm"],
-                    mean_return=mean_return,
-                )
+        if out is None:  # a batch of one or a refusal: the tape runs the step
+            out = self._reference_step(terms)
+        return UpdateStats(
+            policy_loss=out["policy_loss"],
+            value_loss=out["value_loss"],
+            entropy=out["entropy"],
+            grad_norm=out["grad_norm"],
+            mean_return=mean_return,
+        )
 
+    def _reference_step(
+        self, terms: Callable[[], Tuple[Tensor, Dict[str, float]]]
+    ) -> Dict[str, float]:
+        """One tape-built step: forward + loss, backward, clip, Adam."""
         tracer = obs.TRACER
         traced = tracer.enabled
         handle = tracer.begin("update/forward") if traced else None
-        # one batched forward over every state of every unroll
-        bf = self.agent.forward_batch_flat([t.obs for t in flat])
-        loss, policy_loss, value_loss, entropy = a2c_loss_terms(
-            bf,
-            actions,
-            returns,
-            value_coef=cfg.value_coef,
-            entropy_coef=cfg.entropy_coef,
-            normalize_advantage=normalize,
-        )
+        loss, stats = terms()
         if traced:
             tracer.end(handle)
             handle = tracer.begin("update/backward")
@@ -261,39 +240,28 @@ class A2CUpdater:
         if traced:
             tracer.end(handle)
             handle = tracer.begin("update/optimizer")
-        grad_norm = clip_grad_norm(self.agent.parameters(), cfg.max_grad_norm)
+        stats["grad_norm"] = clip_grad_norm(
+            self.agent.parameters(), self.config.max_grad_norm
+        )
         self.optimizer.step()
         if traced:
             tracer.end(handle)
+        return stats
 
-        return UpdateStats(
-            policy_loss=float(policy_loss.data),
-            value_loss=float(value_loss.data),
-            entropy=float(entropy.data),
-            grad_norm=grad_norm,
-            mean_return=mean_return,
-        )
-
-    def _reference_terms(
+    def _loss_terms(
         self,
-        glue,
+        bf: BatchedForward,
         actions: np.ndarray,
         returns: np.ndarray,
         normalize: bool,
     ) -> Tuple[Tensor, Dict[str, float]]:
-        """Reference loss construction for the training compiler's capture.
+        """Reference loss construction (also the compiler's capture callback).
 
-        Runs the batched forward over the *same* glue the fused kernel will
-        use, so the bitwise validation compares like with like.
+        For a batch the forward runs over the *same* glue the fused kernel
+        will use, so the capture-time bitwise validation compares like with
+        like.
         """
         cfg = self.config
-        logits, values = self.agent._forward_batch_tensors(glue)
-        bf = BatchedForward(
-            logits=logits,
-            values=values,
-            action_segments=np.repeat(np.arange(glue.batch), glue.num_actions),
-            action_offsets=glue.action_offsets,
-        )
         loss, policy_loss, value_loss, entropy = a2c_loss_terms(
             bf,
             actions,

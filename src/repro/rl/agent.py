@@ -304,7 +304,10 @@ class ReadysAgent(Module):
                 action_offsets=np.array([0, n], dtype=np.int64),
             )
 
-        glue = self._batch_glue(obs_list)
+        return self._forward_glue(self._batch_glue(obs_list))
+
+    def _forward_glue(self, glue: _BatchGlue) -> BatchedForward:
+        """The batched forward over prebuilt glue (B >= 1, no B == 1 routing)."""
         logits, values = self._forward_batch_tensors(glue)
         return BatchedForward(
             logits=logits,

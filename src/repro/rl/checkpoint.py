@@ -186,11 +186,6 @@ def trainer_from_checkpoint(checkpoint: TrainingCheckpoint) -> ReadysTrainer:
     trainer.result = _result_from_state(checkpoint.result_state)
     if checkpoint.spec is not None:
         trainer.spec = ExperimentSpec.from_dict(checkpoint.spec)
-        if trainer.spec.compiled_train:
-            # the engine replays bit-identically, so re-enabling it keeps the
-            # resumed learning curve equal to the uninterrupted run while
-            # restoring the speed the original spec asked for
-            trainer.updater.enable_compiled_train()
     return trainer
 
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs as obs_mod
+from repro.nn import TrainingCompiler
 from repro.nn import functional as F
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
@@ -159,44 +160,15 @@ class PPOTrainer:
         self._obs: Optional[Observation] = None
         self.episode_makespans: List[float] = []
         self.episode_rewards: List[float] = []
-        self._train_compiler = None
+        # epochs replay as fused kernels validated bitwise against the tape;
+        # the rollout's glue is built once per update and every epoch
+        # replays the same plan, so one capture serves num_epochs × updates
+        self._train_compiler = TrainingCompiler(self.agent, self.optimizer)
+        self._train_compiler.tracer = obs_mod.TRACER
 
-    # ------------------------------------------------------------------ #
-    # compiled-training control (mirrors A2CUpdater)
-    # ------------------------------------------------------------------ #
-
-    def enable_compiled_train(self, max_plans: int = 8) -> None:
-        """Route epoch updates through the grad-mode capture/replay engine.
-
-        The rollout's glue is built once per update and every epoch replays
-        the same plan, so PPO amortises a single capture across
-        ``num_epochs × updates`` fused steps.  Constructions the engine
-        cannot prove bitwise-identical fall back to the reference tape.
-        """
-        if self._train_compiler is None:
-            from repro.nn.compile import TrainingCompiler
-
-            compiler = TrainingCompiler(
-                self.agent, self.optimizer, max_plans=max_plans
-            )
-            compiler.tracer = obs_mod.TRACER
-            self._train_compiler = compiler
-
-    def disable_compiled_train(self) -> None:
-        """Drop the training compiler; epochs run the reference tape."""
-        self._train_compiler = None
-
-    @property
-    def compiled_train(self) -> bool:
-        """Whether epochs currently route through the training compiler."""
-        return self._train_compiler is not None
-
-    def train_compile_stats(self) -> Optional[Dict[str, float]]:
-        """Plan/fallback counters of the training compiler (None if off)."""
-        comp = self._train_compiler
-        return None if comp is None else comp.stats_dict()
-
-    # ------------------------------------------------------------------ #
+    def train_compile_stats(self) -> Dict[str, float]:
+        """Plan/fallback counters of the training compiler."""
+        return self._train_compiler.stats_dict()
 
     def _policy_stats(self, obs: Observation) -> tuple:
         """(action, logπ(action|s), V(s)) under the current policy, no grad."""
@@ -240,8 +212,8 @@ class PPOTrainer:
 
         Every epoch runs *one* batched forward over the whole rollout
         (block-diagonal GCN, segment log-softmax) — the glue is built once
-        and shared by all epochs, so with compiled training enabled epochs
-        after the first replay a captured plan as raw kernels.
+        and shared by all epochs, so epochs after the first capture replay
+        the captured plan as raw kernels.
         """
         if not transitions:
             raise ValueError("cannot update from an empty rollout")
@@ -262,11 +234,10 @@ class PPOTrainer:
 
         keys = ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
         totals = dict.fromkeys(keys, 0.0)
-        comp = self._train_compiler
         for _ in range(cfg.num_epochs):
             out = None
-            if comp is not None and n > 1:
-                out = comp.update(
+            if n > 1:
+                out = self._train_compiler.update(
                     "ppo",
                     glue,
                     actions,
@@ -336,15 +307,8 @@ class PPOTrainer:
         use, so the capture-time bitwise validation compares like with like.
         """
         cfg = self.config
-        logits, values = self.agent._forward_batch_tensors(glue)
-        bf = BatchedForward(
-            logits=logits,
-            values=values,
-            action_segments=np.repeat(np.arange(glue.batch), glue.num_actions),
-            action_offsets=glue.action_offsets,
-        )
         loss, policy_loss, value_loss, entropy, logp_actions = ppo_loss_terms(
-            bf,
+            self.agent._forward_glue(glue),
             actions,
             returns,
             old_log_probs=old_log_probs,

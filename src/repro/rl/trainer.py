@@ -38,7 +38,6 @@ from repro.sim.vec_env import VecSchedulingEnv
 from repro.utils.seeding import SeedLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.rl.checkpoint import TrainingCheckpoint
     from repro.spec import ExperimentSpec
 
 EnvLike = Union[SchedulingEnv, VecSchedulingEnv]
@@ -146,10 +145,6 @@ class ReadysTrainer:
             spec.make_train_env(), config=config, rng=spec.seed
         )
         trainer.spec = spec
-        if spec.compiled_train:
-            # gradient updates replay as fused kernels, validated bitwise
-            # against the autograd tape at capture time
-            trainer.updater.enable_compiled_train()
         return trainer
 
     @classmethod

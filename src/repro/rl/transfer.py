@@ -10,7 +10,7 @@ checkpoint agents with their configuration and evaluate a trained agent on a
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.nn.serialization import load_state_dict, save_state_dict
 from repro.rl.agent import AgentConfig, ReadysAgent

@@ -35,7 +35,7 @@ Design notes live in DESIGN.md §11.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Dict, List
+from typing import Dict
 
 from repro.sim.engine import ScheduledTask, Simulation
 

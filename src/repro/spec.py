@@ -232,12 +232,6 @@ class ExperimentSpec:
     """write a training checkpoint every N updates (0 = never)"""
     resume: Optional[str] = None
     """path of a training checkpoint to resume from (None = fresh run)"""
-    compiled_train: bool = False
-    """run gradient updates through the capture/replay training compiler
-    (:class:`repro.nn.compile.TrainingCompiler`): forward, backward, grad
-    clipping and the Adam step replay as fused float64 kernels that are
-    validated bit-identical against the autograd tape at capture time, so
-    learning curves and final weights are unchanged — only faster."""
     workload: Optional[WorkloadSpec] = None
     """nested workload description (graph mixture + noise + arrivals).  The
     authoritative spelling: when set, the loose ``kernel``/``tiles``/

@@ -15,7 +15,6 @@ from repro.analysis.lint import (
     Violation,
     iter_python_files,
     lint_file,
-    lint_paths,
     lint_source,
     run,
 )

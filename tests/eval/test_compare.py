@@ -1,6 +1,5 @@
 """Multi-seed comparison harness."""
 
-import numpy as np
 import pytest
 
 from repro.eval.compare import (

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import (
-    SummaryStats,
     improvement_over,
     mean_confidence_interval,
     summarize,

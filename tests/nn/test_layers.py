@@ -9,7 +9,6 @@ from repro.nn.layers import (
     Linear,
     MLP,
     Module,
-    Parameter,
     ReLU,
     Sequential,
     Tanh,

@@ -1,6 +1,5 @@
 """Communication-cost models (extension beyond the paper's zero-comm model)."""
 
-import numpy as np
 import pytest
 
 from repro.platforms.comm import CommunicationModel, NoComm, TypePairComm, UniformComm

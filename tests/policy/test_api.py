@@ -1,6 +1,5 @@
 """The unified Policy API: adapters, clients, and environment-driven eval."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.cholesky import cholesky_dag

@@ -10,13 +10,11 @@ resource state information").  These tests pin that property.
 """
 
 import numpy as np
-import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
 from repro.platforms.noise import NoNoise
-from repro.platforms.resources import CPU, GPU, Platform
-from repro.rl.trainer import default_agent
+from repro.platforms.resources import Platform
 from repro.sim.engine import Simulation
 from repro.sim.state import StateBuilder
 

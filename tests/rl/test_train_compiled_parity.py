@@ -5,9 +5,11 @@ backward programs as fused kernels and applies one flat clip + Adam pass.
 Float64 replays are required to be **bit-identical** to the reference
 autograd tape — same losses, same gradients, same weights after arbitrarily
 many rounds — so every learning curve, checkpoint and evaluation result is
-unchanged by ``--compiled-train``.  The suite pins that claim over >= 50
-training rounds for A2C and PPO, across the in-process and vectorised
-trainers, and through a save→kill→resume cycle.
+the tape's.  The suite pins that claim over >= 50 training rounds for A2C
+and PPO, across the in-process and vectorised trainers, and through a
+save→kill→resume cycle.  Updaters always compile, so each reference side runs
+under :func:`tests.reference_tape.reference_tape` and asserts it made no
+capture and no replay.
 """
 
 import gc
@@ -26,6 +28,11 @@ from repro.rl.a2c import A2CConfig
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.trainer import ReadysTrainer, default_agent
 from repro.spec import ExperimentSpec
+from tests.reference_tape import (
+    assert_ran_compiled,
+    assert_ran_on_tape,
+    reference_tape,
+)
 
 SPEC = ExperimentSpec(kernel="cholesky", tiles=4, seed=3, num_envs=2)
 CONFIG = A2CConfig(unroll_length=10)
@@ -49,42 +56,40 @@ def a2c_rows(result):
 class TestFiftyRoundParity:
     def test_a2c_50_rounds_bit_identical(self):
         ref = ReadysTrainer.from_spec(SPEC, config=CONFIG)
-        ref.train_updates(50)
+        with reference_tape():
+            ref.train_updates(50)
+        assert_ran_on_tape(ref.updater.train_compile_stats())
 
-        cmp_ = ReadysTrainer.from_spec(
-            SPEC.replace(compiled_train=True), config=CONFIG
-        )
-        assert cmp_.updater.compiled_train
+        cmp_ = ReadysTrainer.from_spec(SPEC, config=CONFIG)
         cmp_.train_updates(50)
 
         assert_same_weights(ref.agent, cmp_.agent)
         assert a2c_rows(cmp_.result) == a2c_rows(ref.result)
         assert cmp_.result.episode_makespans == ref.result.episode_makespans
         stats = cmp_.updater.train_compile_stats()
-        assert stats["fallbacks"] == 0 and stats["validation_failures"] == 0
+        assert_ran_compiled(stats)
         assert stats["replays"] + stats["captures"] == 50
 
     def test_ppo_50_rounds_bit_identical(self):
         spec = SPEC.replace(num_envs=1)
         config = PPOConfig(rollout_length=24, num_epochs=2)
 
-        def run(compiled):
+        def run():
             env = spec.make_env()
             trainer = PPOTrainer(env, default_agent(env, rng=0), config, rng=0)
-            if compiled:
-                trainer.enable_compiled_train()
             stats = trainer.train_updates(50)
             return trainer, stats
 
-        ref, ref_stats = run(compiled=False)
-        cmp_, cmp_stats = run(compiled=True)
+        with reference_tape():
+            ref, ref_stats = run()
+        assert_ran_on_tape(ref.train_compile_stats())
+        cmp_, cmp_stats = run()
 
         assert_same_weights(ref.agent, cmp_.agent)
         assert cmp_stats == ref_stats
         assert cmp_.episode_makespans == ref.episode_makespans
         counters = cmp_.train_compile_stats()
-        assert counters["fallbacks"] == 0
-        assert counters["validation_failures"] == 0
+        assert_ran_compiled(counters)
         # every epoch of every update replays the single captured plan
         assert counters["replays"] + counters["captures"] == 50 * 2
 
@@ -93,11 +98,12 @@ class TestTrainerSurfaces:
     def test_vectorised_training_identical_curves(self):
         spec = SPEC.replace(num_envs=3)
         ref = ReadysTrainer.from_spec(spec, config=CONFIG)
-        ref.train_updates(6)
-        cmp_ = ReadysTrainer.from_spec(
-            spec.replace(compiled_train=True), config=CONFIG
-        )
+        with reference_tape():
+            ref.train_updates(6)
+        assert_ran_on_tape(ref.updater.train_compile_stats())
+        cmp_ = ReadysTrainer.from_spec(spec, config=CONFIG)
         cmp_.train_updates(6)
+        assert_ran_compiled(cmp_.updater.train_compile_stats())
         assert_same_weights(ref.agent, cmp_.agent)
         assert cmp_.result.episode_makespans == ref.result.episode_makespans
 
@@ -107,20 +113,21 @@ class TestSaveKillResume:
         """3 updates + checkpoint + 3 resumed == 6 uninterrupted == 6
         reference-tape updates, row by row."""
         path = str(tmp_path / "ckpt.pkl")
-        spec = SPEC.replace(compiled_train=True)
 
         reference = ReadysTrainer.from_spec(SPEC, config=CONFIG)
-        uninterrupted = reference.train_updates(6)
+        with reference_tape():
+            uninterrupted = reference.train_updates(6)
+        assert_ran_on_tape(reference.updater.train_compile_stats())
 
-        first = ReadysTrainer.from_spec(spec, config=CONFIG)
+        first = ReadysTrainer.from_spec(SPEC, config=CONFIG)
         first.train_updates(3, checkpoint_every=3, checkpoint_path=path)
+        assert_ran_compiled(first.updater.train_compile_stats())
         del first  # the "kill": only the checkpoint survives
 
         resumed = ReadysTrainer.from_checkpoint(path)
         assert resumed.completed_updates == 3
-        # the restored spec re-enables the training compiler
-        assert resumed.updater.compiled_train
         continued = resumed.train_updates(3)
+        assert_ran_compiled(resumed.updater.train_compile_stats())
 
         assert a2c_rows(continued) == a2c_rows(uninterrupted)
         assert continued.episode_makespans == uninterrupted.episode_makespans
@@ -132,12 +139,12 @@ class TestRefusalTransparency:
         """Anomaly tracking needs the live tape, so updates transparently run
         the reference path — counted, never wrong."""
         ref = ReadysTrainer.from_spec(SPEC, config=CONFIG)
-        cmp_ = ReadysTrainer.from_spec(
-            SPEC.replace(compiled_train=True), config=CONFIG
-        )
+        cmp_ = ReadysTrainer.from_spec(SPEC, config=CONFIG)
         with detect_anomaly():
-            ref.train_updates(2)
+            with reference_tape():
+                ref.train_updates(2)
             cmp_.train_updates(2)
+        assert_ran_on_tape(ref.updater.train_compile_stats())
         assert_same_weights(ref.agent, cmp_.agent)
         stats = cmp_.updater.train_compile_stats()
         assert stats["fallbacks"] == 2 and stats["captures"] == 0
@@ -148,7 +155,7 @@ class TestBufferFootprint:
         """Node counts change every update, so the plan's buffers are resized
         every update; the memory held must stay within one plan's buffers
         instead of growing with every new shape."""
-        spec = SPEC.replace(num_envs=4, compiled_train=True)
+        spec = SPEC.replace(num_envs=4)
         trainer = ReadysTrainer.from_spec(spec, config=CONFIG)
         compiler = trainer.updater._train_compiler
 

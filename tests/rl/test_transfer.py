@@ -1,7 +1,6 @@
 """Agent checkpointing and zero-shot transfer across problem sizes."""
 
 import numpy as np
-import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS

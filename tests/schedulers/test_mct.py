@@ -1,6 +1,5 @@
 """MCT — minimum-completion-time dynamic scheduler."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.cholesky import cholesky_dag
@@ -9,7 +8,7 @@ from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.noise import GaussianNoise, NoNoise
 from repro.platforms.resources import Platform
 from repro.schedulers.base import CompletionEstimator
-from repro.schedulers.mct import MCTScheduler, run_mct
+from repro.schedulers.mct import run_mct
 from repro.sim.engine import Simulation
 
 TABLE = DurationTable(("A", "B", "C", "D"), cpu=(10.0, 20.0, 30.0, 40.0), gpu=(1.0, 2.0, 3.0, 4.0))

@@ -3,7 +3,6 @@ produce a valid execution (each task once, precedence respected, no processor
 overlap) — the fundamental correctness contract of the whole system.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,6 @@
 """Sufferage and FIFO baselines."""
 
 import numpy as np
-import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS, DurationTable

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.graphs.durations import CHOLESKY_DURATIONS, DurationTable
+from repro.graphs.durations import DurationTable
 from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.noise import GaussianNoise, NoNoise
-from repro.platforms.resources import CPU, GPU, Platform
-from repro.sim.engine import IDLE, ScheduledTask, Simulation
+from repro.platforms.resources import Platform
+from repro.sim.engine import ScheduledTask, Simulation
 
 
 def chain3() -> TaskGraph:

@@ -1,6 +1,5 @@
 """Simulator semantics with a communication model attached."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.durations import DurationTable
@@ -8,7 +7,7 @@ from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.comm import NoComm, UniformComm
 from repro.platforms.noise import NoNoise
 from repro.platforms.resources import Platform
-from repro.schedulers import run_heft, run_mct
+from repro.schedulers import run_mct
 from repro.sim.engine import Simulation
 
 TABLE = DurationTable(("A", "B", "C", "D"), cpu=(10.0, 20.0, 30.0, 40.0), gpu=(1.0, 2.0, 3.0, 4.0))

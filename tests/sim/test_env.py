@@ -1,6 +1,5 @@
 """The scheduling MDP environment."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.cholesky import cholesky_dag

@@ -7,7 +7,6 @@ ULPs — sparse matmul sums in a different order).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

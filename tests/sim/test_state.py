@@ -5,12 +5,10 @@ import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
-from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.noise import NoNoise
 from repro.platforms.resources import CPU, GPU, NUM_RESOURCE_TYPES, Platform
 from repro.sim.engine import Simulation
 from repro.sim.state import (
-    NUM_DYNAMIC_FEATURES,
     PROC_FEATURE_DIM,
     StateBuilder,
     observation_feature_dim,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from tests.reference_tape import reference_tape
 
 
 class TestParser:
@@ -81,6 +82,34 @@ class TestCommands:
         assert str(ckpt) in message
         assert "\n" not in message
 
+    def test_train_rows_equal_reference_tape(self, tmp_path, capsys):
+        """A default run compiles its updates, and its printed rows and
+        saved weights equal a run whose updates all take the tape."""
+
+        def run(name):
+            out = str(tmp_path / f"{name}.npz")
+            rc = main([
+                "train", "--tiles", "4", "--updates", "5", "--num-envs", "2",
+                "--out", out,
+            ])
+            assert rc == 0
+            lines = capsys.readouterr().out.replace(out, "agent.npz").splitlines()
+            summary = [ln for ln in lines if ln.startswith("compiled-train:")]
+            rows = [ln for ln in lines if not ln.startswith("compiled-train:")]
+            return summary, rows, np.load(out)
+
+        with reference_tape():
+            tape_summary, tape_rows, tape_weights = run("tape")
+        (summary,), rows, weights = run("compiled")
+
+        assert "0 captures / 0 replays" in tape_summary[0]
+        assert "1 captures / 4 replays" in summary
+        assert "fallbacks 0, validation failures 0" in summary
+        assert rows and rows == tape_rows
+        assert sorted(weights.files) == sorted(tape_weights.files)
+        for name in weights.files:
+            np.testing.assert_array_equal(weights[name], tape_weights[name])
+
 
 class TestObservability:
     def test_train_trace_metrics_report_roundtrip(self, tmp_path, capsys):
@@ -151,10 +180,11 @@ class TestObservability:
             ["evaluate", "--agent", "a.npz", "--compiled"],
             ["compare", "--compiled-dtype", "float32"],
             ["train", "--workers", "2"],
+            ["train", "--compiled-train"],
+            ["train", "--no-compiled-train"],
         ],
     )
     def test_inference_engine_flags_are_gone(self, argv):
-        # ``--compiled`` must not resolve to ``--compiled-train`` by prefix
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 

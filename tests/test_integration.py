@@ -19,7 +19,6 @@ from repro import (
     Simulation,
     cholesky_dag,
     compare_methods,
-    heft_makespan,
     lu_dag,
     make_runner,
     qr_dag,

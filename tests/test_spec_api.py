@@ -93,6 +93,10 @@ class TestSpecSerialization:
     def test_from_dict_ignores_unknown_keys(self):
         spec = ExperimentSpec.from_dict({"tiles": 3, "not_a_field": 1})
         assert spec.tiles == 3
+        # dicts written while compiled updates were optional still load
+        spec = ExperimentSpec.from_dict({"tiles": 3, "compiled_train": True})
+        assert spec.tiles == 3
+        assert "compiled_train" not in spec.to_dict()
 
 
 class TestRemovedWorkersField:
