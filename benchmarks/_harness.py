@@ -92,7 +92,7 @@ def get_trained_agent(
         graph, platform, durations,
         make_noise("gaussian", TRAIN_SIGMA), window=window, rng=seed,
     )
-    trainer = ReadysTrainer.from_components(
+    trainer = ReadysTrainer(
         env, config=A2CConfig(entropy_coef=1e-2), rng=seed
     )
     updates = updates_for(tiles)

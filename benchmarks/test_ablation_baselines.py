@@ -11,12 +11,12 @@ import pytest
 from repro.eval.compare import evaluate_baseline
 from repro.graphs import duration_table_for, make_dag
 from repro.platforms import Platform, make_noise
-from repro.schedulers import RUNNERS
+from repro.schedulers import available
 from repro.utils.tables import format_table
 
 PLATFORM = Platform(2, 2)
 TILES = 6
-SCHEDULERS = sorted(RUNNERS)
+SCHEDULERS = available()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.4])

@@ -34,7 +34,7 @@ def _train_and_eval(window=2, gcn_layers=None, unroll=40, entropy=1e-2, seed=0):
     )
     config = A2CConfig(entropy_coef=entropy, unroll_length=unroll)
     agent = default_agent(env, num_gcn_layers=gcn_layers, rng=seed)
-    trainer = ReadysTrainer.from_components(env, agent=agent, config=config, rng=seed)
+    trainer = ReadysTrainer(env, agent=agent, config=config, rng=seed)
     updates = updates_for(TILES)
     # track the best greedy snapshot — A2C's final policy occasionally
     # collapses on a single seed, which would corrupt the ablation readout

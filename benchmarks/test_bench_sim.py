@@ -83,7 +83,7 @@ def _rl_unroll_rates(platform, tiles=6, cycles=4, rounds=3):
             k,
             seed=0,
         )
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             vec_env, config=A2CConfig(unroll_length=20), rng=0
         )
         for _ in range(2):  # warm-up

@@ -42,7 +42,9 @@ BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_train.json")
 
 
 def _a2c_spec(num_envs: int) -> ExperimentSpec:
-    return ExperimentSpec(kernel="cholesky", tiles=6, seed=3, num_envs=num_envs)
+    return ExperimentSpec(
+        workload={"kernel": "cholesky", "tiles": 6}, seed=3, num_envs=num_envs
+    )
 
 
 def _best_of(fn, rounds: int) -> float:

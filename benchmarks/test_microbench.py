@@ -79,7 +79,7 @@ def test_perf_a2c_update(benchmark):
     env = SchedulingEnv(
         cholesky_dag(4), PLATFORM, CHOLESKY_DURATIONS, NoNoise(), window=2, rng=0
     )
-    trainer = ReadysTrainer.from_components(env, config=A2CConfig(unroll_length=20), rng=0)
+    trainer = ReadysTrainer(env, config=A2CConfig(unroll_length=20), rng=0)
     transitions, bootstrap = trainer._collect_unroll()
 
     def update():
@@ -116,7 +116,7 @@ def test_perf_vec_unroll(benchmark, num_envs):
     throughput is ``num_envs * unroll_length / time``; compare across the K
     parametrisation for the batched-forward speed-up.
     """
-    trainer = ReadysTrainer.from_components(
+    trainer = ReadysTrainer(
         _vec_env(num_envs), config=A2CConfig(unroll_length=20), rng=0
     )
     trainer.train_updates(2)  # warm caches, JIT-free steady state
@@ -134,7 +134,7 @@ def test_perf_vec_update(benchmark, num_envs):
     ``benchmarks/test_bench_train.py`` measures the same phase with the
     compiled training step for the speed-up ratio.
     """
-    trainer = ReadysTrainer.from_components(
+    trainer = ReadysTrainer(
         _vec_env(num_envs), config=A2CConfig(unroll_length=20), rng=0
     )
     trainer.train_updates(2)  # warm caches, JIT-free steady state

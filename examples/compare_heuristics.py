@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import GaussianNoise, NoNoise, Platform, make_dag, duration_table_for
 from repro.eval.compare import evaluate_baseline
-from repro.schedulers import RUNNERS
+from repro.schedulers import available
 from repro.utils.tables import format_table
 
 
@@ -30,7 +30,7 @@ def main() -> None:
     args = parser.parse_args()
 
     platform = Platform(args.cpus, args.gpus)
-    schedulers = sorted(RUNNERS)
+    schedulers = available()
 
     for sigma in (0.0, args.sigma):
         noise = GaussianNoise(sigma) if sigma > 0 else NoNoise()

@@ -45,7 +45,7 @@ def main() -> None:
         platform, CHOLESKY_DURATIONS, GaussianNoise(0.2),
         window=2, rng=args.seed,
     )
-    trainer = ReadysTrainer.from_components(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
+    trainer = ReadysTrainer(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
     print(f"training on size mixture T ∈ {args.train_tiles}, "
           f"{args.updates} updates …")
     trainer.train_updates(args.updates)

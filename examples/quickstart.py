@@ -47,7 +47,7 @@ def main() -> None:
     env = SchedulingEnv(
         graph, platform, CHOLESKY_DURATIONS, noise, window=2, rng=args.seed
     )
-    trainer = ReadysTrainer.from_components(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
+    trainer = ReadysTrainer(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
     print(f"training {args.updates} A2C updates …")
     trainer.train_updates(args.updates)
     makespans = trainer.result.episode_makespans

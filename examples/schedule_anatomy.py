@@ -19,7 +19,7 @@ from repro import (
     Platform,
     Simulation,
     cholesky_dag,
-    make_runner,
+    get,
 )
 from repro.eval.schedule_analysis import analyze_schedule, ascii_gantt, placement_table
 from repro.utils.tables import format_table
@@ -39,7 +39,7 @@ def main() -> None:
 
     for name in ("heft", "mct"):
         sim = Simulation(graph, platform, CHOLESKY_DURATIONS, noise, rng=0)
-        makespan = make_runner(name)(sim, rng=0)
+        makespan = get(name)(sim, rng=0)
         stats = analyze_schedule(sim)
 
         print(f"\n=== {name.upper()} on {graph.name} / {platform.name} "

@@ -50,7 +50,7 @@ def main() -> None:
         train_graph, platform, CHOLESKY_DURATIONS, GaussianNoise(0.2),
         window=2, rng=args.seed,
     )
-    trainer = ReadysTrainer.from_components(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
+    trainer = ReadysTrainer(env, config=A2CConfig(entropy_coef=1e-2), rng=args.seed)
     print(f"training on {train_graph.name} ({train_graph.num_tasks} tasks), "
           f"{args.updates} updates …")
     trainer.train_updates(args.updates)

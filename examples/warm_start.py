@@ -34,7 +34,7 @@ def train_and_eval(env_seed, agent, updates, args):
         cholesky_dag(args.tiles), Platform(2, 2), CHOLESKY_DURATIONS,
         GaussianNoise(0.2), window=2, rng=env_seed,
     )
-    trainer = ReadysTrainer.from_components(env, agent=agent,
+    trainer = ReadysTrainer(env, agent=agent,
                             config=A2CConfig(entropy_coef=1e-2), rng=env_seed)
     trainer.train_updates(updates)
     eval_env = SchedulingEnv(

@@ -7,18 +7,18 @@ Cholesky/LU/QR), a discrete-event simulator of heterogeneous CPU+GPU nodes
 with stochastic task durations, HEFT/MCT and further baseline schedulers, and
 the READYS agent itself — a from-scratch NumPy GCN trained with A2C.
 
-Quickstart (spec-first — the one true entrypoint)::
+Quickstart (spec-first)::
 
     from repro import ExperimentSpec, ReadysTrainer, evaluate_agent, make_env
 
-    spec = ExperimentSpec(kernel="cholesky", tiles=4, sigma=0.2, seed=0)
+    spec = ExperimentSpec(workload={"kernel": "cholesky", "tiles": 4, "sigma": 0.2})
     trainer = ReadysTrainer.from_spec(spec)
     trainer.train_episodes(100)
     print(evaluate_agent(trainer.agent, make_env(spec), episodes=5, rng=1))
 
-Custom environments/agents compose via ``ReadysTrainer.from_components``;
-the loose-kwarg ``ReadysTrainer(env, ...)`` constructor was removed and
-raises ``TypeError`` naming both factories.
+Custom environments/agents compose via the constructor,
+``ReadysTrainer(env, agent=..., config=..., rng=...)``; schedulers are
+looked up by name with ``get(name)`` and listed with ``available()``.
 """
 
 __version__ = "1.0.0"
@@ -67,8 +67,6 @@ from repro.schedulers import (
     heft_makespan,
     run_heft,
     run_mct,
-    make_runner,
-    RUNNERS,
     available,
     get,
     get_entry,
@@ -142,8 +140,6 @@ __all__ = [
     "heft_makespan",
     "run_heft",
     "run_mct",
-    "make_runner",
-    "RUNNERS",
     "available",
     "get",
     "get_entry",

@@ -78,7 +78,7 @@ RULES: Dict[str, Rule] = dict(
             "no wall-clock reads inside sim/, nn/ or rl/ logic",
             rationale="Simulated time is the only clock those layers may "
             "observe; wall-clock reads break replayability. Measurement "
-            "utilities (`utils/timing`, `eval/profiling`) live outside.",
+            "code (`obs/clock`, `eval/profiling`) lives outside.",
         ),
         _rule(
             "RPR004",

@@ -88,7 +88,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: CLI flags that route into the nested WorkloadSpec instead of loose fields
+#: workload flags beyond the instance flags (only some subcommands have them)
 _WORKLOAD_CLI_FLAGS = (
     "workload", "arrival", "rate", "num_jobs", "arrival_trace",
     "horizon_time", "tile_choices", "families",
@@ -96,10 +96,8 @@ _WORKLOAD_CLI_FLAGS = (
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    """Gather a spec; workload flags (if any) become the nested WorkloadSpec."""
+    """Gather a spec: the instance and workload flags become its WorkloadSpec."""
     given = {name: getattr(args, name, None) for name in _WORKLOAD_CLI_FLAGS}
-    if all(v is None for v in given.values()):
-        return ExperimentSpec.from_args(args)
     if given["workload"]:
         name = given["workload"]
     elif given["families"]:
@@ -109,11 +107,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     else:
         name = "single"
     wl = {
-        "name": name,
-        "kernel": getattr(args, "kernel", "cholesky"),
-        "tiles": getattr(args, "tiles", 4),
-        "noise": getattr(args, "noise", "gaussian"),
-        "sigma": getattr(args, "sigma", 0.0),
+        "name": name, "kernel": args.kernel, "tiles": args.tiles,
+        "noise": args.noise, "sigma": args.sigma,
     }
     if given["tile_choices"]:
         wl["tile_choices"] = tuple(given["tile_choices"])
@@ -190,7 +185,7 @@ def _observed(args: argparse.Namespace, spec: ExperimentSpec, command: str) -> I
 
 
 def cmd_info(args) -> int:
-    spec = ExperimentSpec.from_args(args)
+    spec = _spec_from_args(args)
     graph, platform, durations, _ = spec.make_instance()
     rows = [
         ["tasks", graph.num_tasks],
@@ -209,7 +204,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = ExperimentSpec.from_args(args)
+    spec = _spec_from_args(args)
     agent = load_agent(args.agent) if args.agent else None
     with _observed(args, spec, "compare"):
         result = compare_spec(
@@ -220,7 +215,7 @@ def cmd_compare(args) -> int:
         rows.append([method, result.mean(method), min(result.makespans[method])])
     print(
         f"instance: {result.label} on {spec.cpus}CPU_{spec.gpus}GPU, "
-        f"sigma={spec.sigma}"
+        f"sigma={spec.workload.sigma}"
     )
     print(format_table(["scheduler", "mean makespan", "best"], rows, floatfmt=".2f"))
     if agent is not None:
@@ -283,7 +278,7 @@ def cmd_train(args) -> int:
             f"HEFT {heft_makespan(graph, platform, durations):.2f}"
         )
     if args.out:
-        save_agent(trainer.agent, args.out, kernel=spec.kernel, tiles=str(spec.tiles))
+        save_agent(trainer.agent, args.out, workload=spec.workload.to_json())
         print(f"checkpoint written to {args.out}")
     return 0
 

@@ -13,12 +13,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.eval.metrics import mean_confidence_interval
-from repro.obs import metrics
+from repro.obs import Timer, metrics
 from repro.rl.agent import ReadysAgent
 from repro.sim.env import SchedulingEnv
 from repro.sim.vec_env import VecSchedulingEnv
 from repro.utils.seeding import SeedLike, as_generator
-from repro.utils.timing import Timer
 
 
 def inference_timing(

@@ -14,9 +14,8 @@ Metric kinds
 * :class:`Counter` — monotonically accumulating float (event counts,
   busy/idle seconds);
 * :class:`Gauge` — last-write-wins value (utilization, env-steps/s);
-* :class:`Timer` — accumulating interval timer (absorbed from the old
-  ``repro.utils.timing`` module, which now re-exports it); each ``with``
-  block or :meth:`Timer.record` call appends one duration sample;
+* :class:`Timer` — accumulating interval timer; each ``with`` block or
+  :meth:`Timer.record` call appends one duration sample;
 * series — append-only ``(step, value)`` points via
   :meth:`MetricsRegistry.record` (learning curves).
 

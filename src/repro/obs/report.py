@@ -127,6 +127,16 @@ def check_span_nesting(trace: TraceData) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _flatten(value: Any, prefix: str = "") -> List[Tuple[str, Any]]:
+    """``(dotted.key, leaf)`` rows of nested run metadata, keys sorted."""
+    if not isinstance(value, dict):
+        return [(prefix or "run", value)]
+    rows: List[Tuple[str, Any]] = []
+    for key, item in sorted(value.items()):
+        rows.extend(_flatten(item, f"{prefix}.{key}" if prefix else str(key)))
+    return rows
+
+
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
@@ -249,14 +259,7 @@ def render_report(
     lines.append("## Run")
     lines.append("")
     if run:
-        items = sorted(run.items()) if isinstance(run, dict) else [("run", run)]
-        flat: List[Tuple[str, Any]] = []
-        for key, value in items:
-            if isinstance(value, dict):
-                flat.extend((f"{key}.{k}", v) for k, v in sorted(value.items()))
-            else:
-                flat.append((key, value))
-        lines.extend(_md_table(["field", "value"], flat))
+        lines.extend(_md_table(["field", "value"], _flatten(run)))
     else:
         lines.append("*(no run metadata recorded)*")
     lines.append("")

@@ -172,7 +172,7 @@ def trainer_from_checkpoint(checkpoint: TrainingCheckpoint) -> ReadysTrainer:
         ) from exc
     agent = ReadysAgent(AgentConfig(**checkpoint.agent_config), rng=0)
     agent.load_state_dict(checkpoint.model_state)
-    trainer = ReadysTrainer.from_components(
+    trainer = ReadysTrainer(
         vec_env,
         agent=agent,
         config=A2CConfig(**checkpoint.a2c_config),

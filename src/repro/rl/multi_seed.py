@@ -75,7 +75,7 @@ def train_multi_seed(
     for i in range(num_seeds):
         train_rng, eval_rng, score_rng = streams[3 * i: 3 * i + 3]
         env = env_factory(train_rng)
-        trainer = ReadysTrainer.from_components(env, config=config, rng=train_rng)
+        trainer = ReadysTrainer(env, config=config, rng=train_rng)
         snapshot = EvalCallback(
             env_factory(eval_rng),
             every=max(1, min(snapshot_every, updates)),

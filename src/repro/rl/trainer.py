@@ -91,11 +91,9 @@ def default_agent(
 class ReadysTrainer:
     """Synchronous A2C trainer over K lockstep environments.
 
-    Construction is **spec-first**: :meth:`from_spec` is the one true
-    entrypoint, and :meth:`from_components` composes a trainer
-    from pre-built parts.  The historical loose-kwarg ``ReadysTrainer(env,
-    ...)`` ctor was deprecated in the spec-first release and is now a
-    ``TypeError`` — call a factory.
+    :meth:`from_spec` builds the trainer an
+    :class:`~repro.spec.ExperimentSpec` describes; the constructor composes
+    one from pre-built parts (custom environments and agents).
 
     ``env`` may be a single :class:`SchedulingEnv` (wrapped into a K=1
     :class:`VecSchedulingEnv`) or a pre-built ``VecSchedulingEnv`` whose K
@@ -108,17 +106,7 @@ class ReadysTrainer:
         agent: Optional[ReadysAgent] = None,
         config: Optional[A2CConfig] = None,
         rng: SeedLike = None,
-        *,
-        _via_factory: bool = False,
     ) -> None:
-        if not _via_factory:
-            raise TypeError(
-                "constructing ReadysTrainer(env, ...) directly was removed "
-                "after its deprecation period; migrate to "
-                "ReadysTrainer.from_spec(spec) for spec-described runs or "
-                "ReadysTrainer.from_components(env, agent=..., config=..., "
-                "rng=...) for pre-built parts"
-            )
         if isinstance(env, VecSchedulingEnv):
             self.vec_env = env
         else:
@@ -130,7 +118,7 @@ class ReadysTrainer:
         self._obs: Optional[List[Observation]] = None
         self.result = TrainResult()
         self.spec: Optional["ExperimentSpec"] = None
-        """the spec this trainer was built from (None for component builds)"""
+        """the spec this trainer was built from (None when composed from parts)"""
 
     # ------------------------------------------------------------------ #
     # construction
@@ -140,28 +128,10 @@ class ReadysTrainer:
     def from_spec(
         cls, spec: "ExperimentSpec", config: Optional[A2CConfig] = None
     ) -> "ReadysTrainer":
-        """Build the trainer described by ``spec`` — the one true entrypoint."""
-        trainer = cls.from_components(
-            spec.make_train_env(), config=config, rng=spec.seed
-        )
+        """Build the trainer described by ``spec``."""
+        trainer = cls(spec.make_train_env(), config=config, rng=spec.seed)
         trainer.spec = spec
         return trainer
-
-    @classmethod
-    def from_components(
-        cls,
-        env: EnvLike,
-        agent: Optional[ReadysAgent] = None,
-        config: Optional[A2CConfig] = None,
-        rng: SeedLike = None,
-    ) -> "ReadysTrainer":
-        """Compose a trainer from pre-built parts (env/agent/config/rng).
-
-        The supported composition API for custom environments and agents;
-        prefer :meth:`from_spec` when an :class:`~repro.spec.ExperimentSpec`
-        describes the run.
-        """
-        return cls(env, agent, config, rng, _via_factory=True)
 
     @classmethod
     def from_checkpoint(cls, path: str) -> "ReadysTrainer":

@@ -3,12 +3,8 @@
 The public entry points are the ``run_*`` functions, each taking a fresh
 :class:`repro.sim.engine.Simulation` and returning the achieved makespan, and
 the name registry — :func:`get` resolves a scheduler by name for the
-CLI/eval harness and :func:`available` lists the options.  ``RUNNERS`` and
-:func:`make_runner` survive as thin views over the registry for historical
-callers.
+CLI/eval harness and :func:`available` lists the options.
 """
-
-from typing import Callable, Dict
 
 from repro.schedulers.base import (
     DynamicScheduler,
@@ -67,21 +63,11 @@ from repro.schedulers.registry import (
     get,
     get_entry,
     register,
-    runners,
 )
 
 # Built-in schedulers register themselves via the ``@register("name")``
 # decorator in their defining modules (imported above), so registration lives
 # next to the scheduler code; this package only re-exports the registry API.
-
-#: legacy view: name → runner(sim, rng=None) -> makespan.  A snapshot of the
-#: registry taken at import time; new code should call ``get``/``available``.
-RUNNERS: Dict[str, Callable] = runners()
-
-
-def make_runner(name: str) -> Callable:
-    """Resolve a scheduler runner by name (legacy alias of :func:`get`)."""
-    return get(name)
 
 
 __all__ = [
@@ -123,13 +109,10 @@ __all__ = [
     "run_online_heft",
     "run_online_mct",
     "run_online_sufferage",
-    "RUNNERS",
-    "make_runner",
     "SchedulerEntry",
     "available",
     "entries",
     "get",
     "get_entry",
     "register",
-    "runners",
 ]

@@ -139,8 +139,3 @@ def servable() -> List[str]:
 def entries() -> List[SchedulerEntry]:
     """Every registry entry, sorted by name."""
     return [_REGISTRY[name] for name in available()]
-
-
-def runners() -> Dict[str, Runner]:
-    """A name → runner snapshot (the legacy ``RUNNERS`` dict shape)."""
-    return {name: _REGISTRY[name].runner for name in available()}

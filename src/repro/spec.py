@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import difflib
 import json
-import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
@@ -32,22 +31,20 @@ ARRIVALS = ("none", "poisson", "trace")
 #: reward modes only the streaming (multi-job) environment understands
 STREAMING_REWARD_MODES = ("jct", "slowdown", "makespan")
 
-#: ExperimentSpec fields mirrored into the nested WorkloadSpec (the
-#: deprecated loose spelling; the nested spec is authoritative)
-_WORKLOAD_MIRRORS = ("kernel", "tiles", "noise", "sigma")
+#: WorkloadSpec fields that pre-streaming spec dicts carried at top level
+_LOOSE_WORKLOAD_KEYS = ("kernel", "tiles", "noise", "sigma")
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Declarative description of the job distribution of one experiment.
 
-    Bundles what the old loose ``kernel``/``tiles``/``noise`` fields spread
-    over :class:`ExperimentSpec`: the graph-family mixture (resolved through
-    the :mod:`repro.graphs.workloads` registry), the duration-noise model,
-    and — new with the streaming environment — the job arrival process and
-    the episode horizon.  Like :class:`ServeSpec`, :meth:`from_dict`
-    **rejects** unknown keys with a did-you-mean hint: a typo'd arrival knob
-    silently falling back to its default would change the whole workload.
+    The graph-family mixture (resolved through the
+    :mod:`repro.graphs.workloads` registry), the duration-noise model, the
+    job arrival process and the episode horizon.  Like :class:`ServeSpec`,
+    :meth:`from_dict` **rejects** unknown keys with a did-you-mean hint: a
+    typo'd arrival knob silently falling back to its default would change
+    the whole workload.
     """
 
     name: str = "single"
@@ -217,12 +214,8 @@ class WorkloadSpec:
 class ExperimentSpec:
     """Declarative description of one (instance, environment, run) cell."""
 
-    kernel: str = "cholesky"
-    tiles: int = 4
     cpus: int = 2
     gpus: int = 2
-    sigma: float = 0.0
-    noise: str = "gaussian"
     seed: int = 0
     window: int = 2
     sparse_state: bool = False
@@ -232,32 +225,17 @@ class ExperimentSpec:
     """write a training checkpoint every N updates (0 = never)"""
     resume: Optional[str] = None
     """path of a training checkpoint to resume from (None = fresh run)"""
-    workload: Optional[WorkloadSpec] = None
-    """nested workload description (graph mixture + noise + arrivals).  The
-    authoritative spelling: when set, the loose ``kernel``/``tiles``/
-    ``noise``/``sigma`` fields are backfilled from it (they remain as
-    read-only mirrors for one release); when ``None``, a ``single`` workload
-    is synthesised from those legacy fields."""
+    workload: WorkloadSpec = WorkloadSpec()
+    """the instance: graph mixture, duration noise and job arrivals (a dict
+    is converted with :meth:`WorkloadSpec.from_dict`)"""
 
     def __post_init__(self) -> None:
         if isinstance(self.workload, dict):
             object.__setattr__(self, "workload", WorkloadSpec.from_dict(self.workload))
-        if self.workload is not None:
-            # the nested spec wins: keep the deprecated loose fields as mirrors
-            for key in _WORKLOAD_MIRRORS:
-                object.__setattr__(self, key, getattr(self.workload, key))
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.noise not in NOISE_MODELS:
-            raise ValueError(f"noise must be one of {NOISE_MODELS}, got {self.noise!r}")
-        if self.tiles < 1:
-            raise ValueError(f"tiles must be >= 1, got {self.tiles}")
         if self.cpus < 0 or self.gpus < 0 or self.cpus + self.gpus < 1:
             raise ValueError(
                 f"platform needs >= 1 processor, got cpus={self.cpus} gpus={self.gpus}"
             )
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.window < 0:
             raise ValueError(f"window must be >= 0, got {self.window}")
         if self.num_envs < 1:
@@ -274,15 +252,6 @@ class ExperimentSpec:
         if self.resume is not None and not isinstance(self.resume, str):
             raise ValueError(
                 f"resume must be None or a checkpoint path, got {self.resume!r}"
-            )
-        if self.workload is None:
-            object.__setattr__(
-                self,
-                "workload",
-                WorkloadSpec(
-                    name="single", kernel=self.kernel, tiles=self.tiles,
-                    noise=self.noise, sigma=self.sigma,
-                ),
             )
         streaming = self.workload.is_streaming
         if self.reward_mode in STREAMING_REWARD_MODES and not streaming:
@@ -320,19 +289,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored.
+        """Inverse of :meth:`to_dict`; unknown keys are ignored, with two
+        refusals (``ValueError``) for keys that would otherwise change the
+        run without a word:
 
-        The one exception is ``workers``: dicts written while the
-        multiprocess rollout pool existed load when they asked for one
-        process, and raise ``ValueError`` when they asked for more, rather
-        than silently becoming a single-process run with different RNG
-        streams.
-
-        Dicts carrying loose graph fields (``kernel``/``tiles``/``noise``/
-        ``sigma``) without a nested ``workload`` block — pre-streaming trace
-        headers and checkpoints — still load: they are auto-wrapped into a
-        ``single`` workload, with a :class:`DeprecationWarning` (the shim is
-        scheduled to last one release).
+        - ``workers`` other than 1, written while the multiprocess rollout
+          pool existed, rather than silently becoming a single-process run
+          with different RNG streams;
+        - loose ``kernel``/``tiles``/``noise``/``sigma`` keys with no nested
+          ``workload`` block (pre-streaming trace headers and checkpoints),
+          rather than silently describing the default instance.  Next to a
+          ``workload`` block they are ignored like any unknown key.
         """
         workers = data.get("workers", 1)
         if workers != 1:
@@ -341,18 +308,15 @@ class ExperimentSpec:
                 "rollout pool has been removed; train in one process and "
                 "raise num_envs to batch more environments per update"
             )
-        names = {f.name for f in fields(cls)}
-        known = {k: v for k, v in data.items() if k in names}
-        if "workload" not in known and any(k in known for k in _WORKLOAD_MIRRORS):
-            warnings.warn(
-                "loose 'kernel'/'tiles'/'noise'/'sigma' keys on an "
-                "ExperimentSpec dict are deprecated — nest them in a "
-                "'workload' block (auto-wrapped into a 'single' workload "
-                "for now)",
-                DeprecationWarning,
-                stacklevel=2,
+        loose = [k for k in _LOOSE_WORKLOAD_KEYS if k in data]
+        if loose and "workload" not in data:
+            raise ValueError(
+                f"spec carries {', '.join(map(repr, loose))} at top level "
+                "with no 'workload' block; nest them in a 'workload' block, "
+                "e.g. {\"workload\": {\"name\": \"single\", \"tiles\": 4}}"
             )
-        return cls(**known)
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in names})
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form — the run-metadata header of trace files."""
@@ -373,18 +337,7 @@ class ExperimentSpec:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
-        """A copy with ``changes`` applied (dataclasses.replace sugar).
-
-        Changing a deprecated mirror field (``kernel``/``tiles``/``noise``/
-        ``sigma``) without also passing ``workload`` updates the nested
-        workload accordingly — the legacy spelling keeps working for one
-        release.
-        """
-        mirror_changes = {
-            k: changes[k] for k in _WORKLOAD_MIRRORS if k in changes
-        }
-        if mirror_changes and "workload" not in changes and self.workload is not None:
-            changes["workload"] = self.workload.replace(**mirror_changes)
+        """A copy with ``changes`` applied (dataclasses.replace sugar)."""
         merged = {f.name: getattr(self, f.name) for f in fields(self)}
         merged.update(changes)
         return ExperimentSpec(**merged)
@@ -403,12 +356,11 @@ class ExperimentSpec:
         with a generator seeded from :attr:`seed`.  Streaming workloads have
         no single-graph materialisation — use :meth:`make_env`.
         """
-        assert self.workload is not None
         platform = Platform(self.cpus, self.gpus)
         noise = self.workload.make_noise_model()
         if self.workload.name == "single":
             return (
-                make_dag(self.kernel, self.tiles),
+                make_dag(self.workload.kernel, self.workload.tiles),
                 platform,
                 self.workload.make_workload().durations,
                 noise,
@@ -429,7 +381,6 @@ class ExperimentSpec:
         """
         from repro.sim.env import SchedulingEnv  # local: avoid import cycle
 
-        assert self.workload is not None
         wl_spec = self.workload
         platform = Platform(self.cpus, self.gpus)
         if wl_spec.is_streaming:
@@ -482,7 +433,6 @@ class ExperimentSpec:
             self.make_env(rng=rng)
             for rng in spawn_generators(self.seed, self.num_envs)
         ]
-        assert self.workload is not None
         if self.workload.is_streaming:
             from repro.sim.streaming import VecStreamingEnv
 

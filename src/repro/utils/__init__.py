@@ -1,4 +1,4 @@
-"""Shared utilities: seeding, validation, timing, text tables."""
+"""Shared utilities: seeding, validation, text tables."""
 
 from repro.utils.seeding import as_generator, spawn_generators
 from repro.utils.validation import (
@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_in_range,
     check_type,
 )
-from repro.utils.timing import Timer
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "check_nonnegative",
     "check_in_range",
     "check_type",
-    "Timer",
     "format_table",
 ]

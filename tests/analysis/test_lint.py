@@ -135,7 +135,7 @@ class TestWallClock:
 
     def test_wall_clock_allowed_in_measurement_utils(self):
         src = "import time\nt0 = time.perf_counter()\n"
-        assert lint_source(src, "src/repro/utils/timing.py") == []
+        assert lint_source(src, "src/repro/obs/clock.py") == []
         assert lint_source(src, "src/repro/eval/profiling.py") == []
 
     def test_simulated_time_attribute_not_flagged(self):

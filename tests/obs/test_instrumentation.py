@@ -49,7 +49,7 @@ def _vec_env(kind: str, num_envs: int) -> VecSchedulingEnv:
 def _train(
     updates: int = 2, num_envs: int = 2, kind: str = "static"
 ) -> ReadysTrainer:
-    trainer = ReadysTrainer.from_components(
+    trainer = ReadysTrainer(
         _vec_env(kind, num_envs), config=A2CConfig(unroll_length=10), rng=0
     )
     trainer.train_updates(updates)
@@ -216,7 +216,7 @@ class TestLearningCurveCallback:
             cholesky_dag(2), Platform(1, 1), CHOLESKY_DURATIONS, NoNoise(),
             window=1, rng=0,
         )
-        trainer = ReadysTrainer.from_components(env, config=A2CConfig(unroll_length=10), rng=0)
+        trainer = ReadysTrainer(env, config=A2CConfig(unroll_length=10), rng=0)
         path = str(tmp_path / "curve.csv")
         cb = LearningCurveCallback(path, every=2)
         ran = train_with_callbacks(trainer, 4, [cb])
@@ -237,7 +237,7 @@ class TestLearningCurveCallback:
             cholesky_dag(2), Platform(1, 1), CHOLESKY_DURATIONS, NoNoise(),
             window=1, rng=0,
         )
-        trainer = ReadysTrainer.from_components(env, config=A2CConfig(unroll_length=5), rng=0)
+        trainer = ReadysTrainer(env, config=A2CConfig(unroll_length=5), rng=0)
         cb = LearningCurveCallback(str(tmp_path / "curve.jsonl"), every=100)
         cb(trainer, 0)  # not a multiple of `every` — no write
         assert cb.writes == 0

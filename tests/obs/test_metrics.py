@@ -55,11 +55,6 @@ class TestKinds:
         assert t.count == 1
         assert t.samples[0] >= 0.0
 
-    def test_timing_shim_reexports_timer(self):
-        from repro.utils.timing import Timer as ShimTimer
-
-        assert ShimTimer is Timer
-
     def test_series_points(self):
         s = Series()
         s.append(3.0, step=0)

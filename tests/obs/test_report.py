@@ -15,7 +15,9 @@ from repro.obs.report import (
 
 def _record_small_run(trace_path: str, metrics_path: str) -> None:
     """Hand-write a trace + metrics pair with every section's inputs."""
-    obs.start_trace(trace_path, metadata={"command": "train", "spec": {"tiles": 3}})
+    obs.start_trace(trace_path, metadata={
+        "command": "train", "spec": {"seed": 0, "workload": {"tiles": 3}},
+    })
     for update in range(2):
         u = obs.TRACER.begin("update", update=update)
         r = obs.TRACER.begin("unroll")
@@ -63,7 +65,8 @@ class TestRenderReport:
             "## Simulator utilization",
         ):
             assert heading in report
-        assert "spec.tiles | 3" in report
+        assert "spec.seed | 0" in report
+        assert "spec.workload.tiles | 3" in report
         # every latency span name got a percentile row
         for name in LATENCY_SPANS:
             assert f"| {name} |" in report

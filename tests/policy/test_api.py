@@ -140,7 +140,7 @@ class TestSchedulerAdapters:
             registry.get_policy("heft")
 
     def test_heft_policy_replays_across_episodes(self):
-        spec = ExperimentSpec(tiles=3)
+        spec = ExperimentSpec(workload={"tiles": 3})
         policy = registry.get_policy("heft", spec=spec)
         records = evaluate_policy(spec.make_env(), policy, episodes=2, seed=0)
         assert len(records) == 2

@@ -26,7 +26,7 @@ def make_env(tiles=3, rng=0):
 
 
 def make_trainer(rng=0):
-    return ReadysTrainer.from_components(
+    return ReadysTrainer(
         make_env(rng=rng), config=A2CConfig(unroll_length=10), rng=rng
     )
 

@@ -16,7 +16,7 @@ from repro.rl.checkpoint import (
 from repro.rl.trainer import ReadysTrainer
 from repro.spec import ExperimentSpec
 
-SPEC = ExperimentSpec(tiles=3, num_envs=2, seed=7)
+SPEC = ExperimentSpec(workload={"tiles": 3}, num_envs=2, seed=7)
 CONFIG = A2CConfig(unroll_length=5)
 
 
@@ -81,7 +81,7 @@ class TestSingleProcessResume:
 
     def test_component_trainer_checkpoints_without_spec(self, tmp_path):
         path = str(tmp_path / "ckpt.pkl")
-        trainer = ReadysTrainer.from_components(SPEC.make_train_env(), rng=0)
+        trainer = ReadysTrainer(SPEC.make_train_env(), rng=0)
         trainer.train_updates(1)
         trainer.save_checkpoint(path)
         restored = trainer_from_checkpoint(load_checkpoint(path))

@@ -34,7 +34,7 @@ from tests.reference_tape import (
     reference_tape,
 )
 
-SPEC = ExperimentSpec(kernel="cholesky", tiles=4, seed=3, num_envs=2)
+SPEC = ExperimentSpec(workload={"kernel": "cholesky", "tiles": 4}, seed=3, num_envs=2)
 CONFIG = A2CConfig(unroll_length=10)
 
 

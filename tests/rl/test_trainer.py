@@ -43,27 +43,27 @@ class TestDefaultAgent:
 
 class TestTrainerMechanics:
     def test_train_updates_counts(self):
-        trainer = ReadysTrainer.from_components(make_env(), config=A2CConfig(unroll_length=10), rng=0)
+        trainer = ReadysTrainer(make_env(), config=A2CConfig(unroll_length=10), rng=0)
         result = trainer.train_updates(3)
         assert len(result.update_stats) == 3
 
     def test_negative_updates_raise(self):
         with pytest.raises(ValueError):
-            ReadysTrainer.from_components(make_env(), rng=0).train_updates(-1)
+            ReadysTrainer(make_env(), rng=0).train_updates(-1)
 
     def test_train_episodes_reaches_target(self):
-        trainer = ReadysTrainer.from_components(make_env(), config=A2CConfig(unroll_length=10), rng=0)
+        trainer = ReadysTrainer(make_env(), config=A2CConfig(unroll_length=10), rng=0)
         result = trainer.train_episodes(4)
         assert result.num_episodes >= 4
 
     def test_episode_bookkeeping_consistent(self):
-        trainer = ReadysTrainer.from_components(make_env(), config=A2CConfig(unroll_length=16), rng=0)
+        trainer = ReadysTrainer(make_env(), config=A2CConfig(unroll_length=16), rng=0)
         result = trainer.train_updates(10)
         assert len(result.episode_makespans) == len(result.episode_rewards)
         assert all(m > 0 for m in result.episode_makespans)
 
     def test_result_accumulates_across_calls(self):
-        trainer = ReadysTrainer.from_components(make_env(), config=A2CConfig(unroll_length=10), rng=0)
+        trainer = ReadysTrainer(make_env(), config=A2CConfig(unroll_length=10), rng=0)
         trainer.train_updates(2)
         first = len(trainer.result.update_stats)
         trainer.train_updates(2)
@@ -76,7 +76,7 @@ class TestTrainerMechanics:
 
     def test_deterministic_training(self):
         def run():
-            trainer = ReadysTrainer.from_components(
+            trainer = ReadysTrainer(
                 make_env(rng=0), config=A2CConfig(unroll_length=10), rng=0
             )
             trainer.train_updates(5)
@@ -122,7 +122,7 @@ class TestLearning:
             cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),
             window=2, rng=0,
         )
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             env, config=A2CConfig(entropy_coef=1e-2), rng=0
         )
         untrained = np.mean(evaluate_agent(trainer.agent, env, episodes=3, rng=1))
@@ -135,7 +135,7 @@ class TestLearning:
             cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),
             window=2, rng=0,
         )
-        trainer = ReadysTrainer.from_components(env, config=A2CConfig(entropy_coef=1e-2), rng=0)
+        trainer = ReadysTrainer(env, config=A2CConfig(entropy_coef=1e-2), rng=0)
         trainer.train_updates(600)
         trained = np.mean(evaluate_agent(trainer.agent, env, episodes=3, rng=1))
         heft = heft_makespan(cholesky_dag(4), env.platform, CHOLESKY_DURATIONS)

@@ -72,7 +72,7 @@ class TestK1Reproduction:
 
         env_b = make_env(rng=17)
         agent_b = default_agent(env_b, rng=99)
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             VecSchedulingEnv([env_b]), agent=agent_b, config=config, rng=5
         )
         trainer.train_updates(num_updates)
@@ -89,7 +89,7 @@ class TestK1Reproduction:
         for wrap in (False, True):
             env = make_env(rng=3)
             env = VecSchedulingEnv([env]) if wrap else env
-            trainer = ReadysTrainer.from_components(env, config=config, rng=8)
+            trainer = ReadysTrainer(env, config=config, rng=8)
             trainer.train_updates(4)
             results.append(trainer.result.episode_makespans)
         assert results[0] == results[1]
@@ -97,7 +97,7 @@ class TestK1Reproduction:
 
 class TestMultiEnvTraining:
     def test_transitions_scale_with_k(self):
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             make_vec(3), config=A2CConfig(unroll_length=8), rng=0
         )
         unrolls, bootstraps = trainer._collect_unrolls()
@@ -105,7 +105,7 @@ class TestMultiEnvTraining:
         assert all(len(u) == 8 for u in unrolls)
 
     def test_train_updates_with_k_envs(self):
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             make_vec(2), config=A2CConfig(unroll_length=10), rng=0
         )
         result = trainer.train_updates(5)
@@ -116,19 +116,19 @@ class TestMultiEnvTraining:
         assert all(m > 0 for m in result.episode_makespans)
 
     def test_train_episodes_reaches_target_with_k_envs(self):
-        trainer = ReadysTrainer.from_components(
+        trainer = ReadysTrainer(
             make_vec(2), config=A2CConfig(unroll_length=10), rng=0
         )
         result = trainer.train_episodes(4)
         assert result.num_episodes >= 4
 
     def test_single_env_compat_api_rejects_k_gt_1(self):
-        trainer = ReadysTrainer.from_components(make_vec(2), rng=0)
+        trainer = ReadysTrainer(make_vec(2), rng=0)
         with pytest.raises(RuntimeError, match="single-env"):
             trainer._collect_unroll()
 
     def test_unroll_length_below_one_raises_clearly(self):
-        trainer = ReadysTrainer.from_components(make_env(), rng=0)
+        trainer = ReadysTrainer(make_env(), rng=0)
         # A2CConfig refuses unroll_length < 1 at construction; force the
         # invalid state to check the trainer's own guard fires with a clear
         # message instead of an IndexError deep in collection.

@@ -90,6 +90,6 @@ class TestRunPeft:
         sim.check_trace()
 
     def test_registered(self):
-        from repro.schedulers import make_runner
+        from repro.schedulers import get
 
-        assert make_runner("peft") is run_peft
+        assert get("peft") is run_peft

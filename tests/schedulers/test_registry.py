@@ -3,16 +3,13 @@
 import pytest
 
 from repro.schedulers import (
-    RUNNERS,
     SchedulerEntry,
     available,
     entries,
     get,
     get_entry,
-    make_runner,
     register,
     run_heft,
-    runners,
 )
 from repro.schedulers.mct import MCTScheduler
 
@@ -54,22 +51,6 @@ class TestLookup:
         for entry in entries():
             if entry.cls is not None:
                 assert entry.cls.name == entry.name
-
-
-class TestLegacyViews:
-    def test_make_runner_is_registry_get(self):
-        assert make_runner("heft") is get("heft")
-
-    def test_runners_snapshot(self):
-        snapshot = runners()
-        assert set(snapshot) == EXPECTED
-        assert snapshot["heft"] is run_heft
-        # mutating the snapshot must not touch the registry
-        snapshot["bogus"] = None
-        assert "bogus" not in available()
-
-    def test_module_level_RUNNERS_kept(self):
-        assert set(RUNNERS) == EXPECTED
 
 
 class TestRegister:

@@ -11,10 +11,10 @@ from repro.graphs.durations import GENERIC_DURATIONS
 from repro.graphs.random_dag import erdos_dag, fork_join_dag, layered_dag
 from repro.platforms.noise import GaussianNoise, NoNoise
 from repro.platforms.resources import Platform
-from repro.schedulers import RUNNERS, make_runner
+from repro.schedulers import available, get
 from repro.sim.engine import Simulation
 
-ALL_SCHEDULERS = sorted(RUNNERS)
+ALL_SCHEDULERS = available()
 
 
 @given(
@@ -27,7 +27,7 @@ ALL_SCHEDULERS = sorted(RUNNERS)
 def test_valid_execution_on_random_dags(scheduler, n, p, seed):
     graph = erdos_dag(n, p=p, rng=seed)
     sim = Simulation(graph, Platform(2, 2), GENERIC_DURATIONS, NoNoise(), rng=seed)
-    runner = make_runner(scheduler)
+    runner = get(scheduler)
     mk = runner(sim, rng=seed)
     assert sim.done
     assert mk > 0
@@ -45,7 +45,7 @@ def test_valid_execution_under_noise(scheduler, sigma, seed):
     sim = Simulation(
         graph, Platform(1, 2), GENERIC_DURATIONS, GaussianNoise(sigma), rng=seed
     )
-    make_runner(scheduler)(sim, rng=seed)
+    get(scheduler)(sim, rng=seed)
     sim.check_trace()
 
 
@@ -61,7 +61,7 @@ def test_every_platform_shape(scheduler, cpus, gpus, seed):
         cpus = 1
     graph = fork_join_dag(4, stages=2, rng=seed)
     sim = Simulation(graph, Platform(cpus, gpus), GENERIC_DURATIONS, NoNoise(), rng=seed)
-    make_runner(scheduler)(sim, rng=seed)
+    get(scheduler)(sim, rng=seed)
     sim.check_trace()
 
 
@@ -74,7 +74,7 @@ def test_makespan_lower_bound_work_conservation(seed):
     work = GENERIC_DURATIONS.expected_vector(graph.task_types)[:, 1].sum()
     for name in ("mct", "heft", "greedy-eft"):
         sim = Simulation(graph, plat, GENERIC_DURATIONS, NoNoise(), rng=seed)
-        mk = make_runner(name)(sim, rng=seed)
+        mk = get(name)(sim, rng=seed)
         assert mk >= work / plat.num_processors - 1e-9
 
 
@@ -87,13 +87,13 @@ def test_makespan_lower_bound_critical_path(seed):
     bound = graph.critical_path_length(best)
     for name in ("mct", "heft"):
         sim = Simulation(graph, Platform(2, 2), GENERIC_DURATIONS, NoNoise(), rng=seed)
-        mk = make_runner(name)(sim, rng=seed)
+        mk = get(name)(sim, rng=seed)
         assert mk >= bound - 1e-9
 
 
 def test_registry_unknown_name():
     with pytest.raises(KeyError, match="heft"):
-        make_runner("round-robin")
+        get("round-robin")
 
 
 def test_registry_lists_all_expected():
@@ -101,4 +101,4 @@ def test_registry_lists_all_expected():
         "heft", "mct", "random", "greedy-eft", "rank-priority",
         "min-min", "max-min", "sufferage", "fifo", "peft",
         "online-heft", "online-mct", "online-sufferage",
-    } == set(RUNNERS)
+    } == set(available())

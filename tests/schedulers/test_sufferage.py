@@ -81,7 +81,7 @@ class TestFIFO:
         assert FIFOScheduler().select(sim, 0) is not None
 
     def test_registry_entries(self):
-        from repro.schedulers import make_runner
+        from repro.schedulers import get
 
-        assert make_runner("sufferage") is run_sufferage
-        assert make_runner("fifo") is run_fifo
+        assert get("sufferage") is run_sufferage
+        assert get("fifo") is run_fifo

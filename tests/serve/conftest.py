@@ -16,7 +16,7 @@ from repro.spec import ExperimentSpec, ServeSpec
 def trained_checkpoint(tmp_path_factory):
     """A briefly-trained agent checkpoint (trained, not just initialised)."""
     trainer = ReadysTrainer.from_spec(
-        ExperimentSpec(tiles=3), config=A2CConfig(unroll_length=8)
+        ExperimentSpec(workload={"tiles": 3}), config=A2CConfig(unroll_length=8)
     )
     trainer.train_updates(2)
     path = str(tmp_path_factory.mktemp("ckpt") / "agent.npz")

@@ -108,6 +108,27 @@ class TestProtocolSurface:
         with pytest.raises(ServeError, match="servable"):
             RemoteClient.for_scheduler(running.endpoint, "mct")
 
+    def test_open_with_a_pre_workload_spec_names_its_loose_keys(
+        self, serve_factory
+    ):
+        running = serve_factory()
+        with pytest.raises(ServeError, match="'kernel', 'tiles'.*'workload'"):
+            RemoteClient.for_scheduler(
+                running.endpoint, "heft", spec={"kernel": "lu", "tiles": 3}
+            )
+        # the same keys next to a workload block (the format written before
+        # the loose fields were removed) are ignored and the session opens
+        spec = ExperimentSpec(workload={"kernel": "lu", "tiles": 3})
+        mirrored = {**spec.to_dict(), "kernel": "lu", "tiles": 3}
+        with RemoteClient.for_scheduler(
+            running.endpoint, "heft", spec=mirrored
+        ) as client:
+            rows = evaluate_policy(spec.make_env(), client, episodes=1, seed=0)
+        assert rows == evaluate_policy(
+            spec.make_env(), registry.get_policy("heft", spec=spec),
+            episodes=1, seed=0,
+        )
+
     def test_open_default_without_checkpoint_fails(self, serve_factory):
         running = serve_factory()
         with pytest.raises(ServeError, match="checkpoint"):
@@ -267,7 +288,7 @@ class TestSessionLifecycle:
 
     def test_reset_restarts_a_static_replay_session(self, serve_factory):
         running = serve_factory()
-        spec = ExperimentSpec(tiles=3)
+        spec = ExperimentSpec(workload={"tiles": 3})
         with RemoteClient.for_scheduler(
             running.endpoint, "heft", spec=spec
         ) as client:

@@ -1,10 +1,20 @@
 """Command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graphs import make_dag
+from repro.spec import WorkloadSpec
 from tests.reference_tape import reference_tape
+
+
+def _saved_workload(path):
+    """The WorkloadSpec ``train --out`` recorded next to the weights."""
+    with np.load(path) as archive:
+        return WorkloadSpec.from_dict(json.loads(str(archive["__meta__workload"])))
 
 
 class TestParser:
@@ -27,6 +37,9 @@ class TestCommands:
         assert main(["info", "--kernel", "lu", "--tiles", "3"]) == 0
         out = capsys.readouterr().out
         assert "tasks" in out and "HEFT" in out
+        tasks = make_dag("lu", 3).num_tasks
+        assert tasks != make_dag("cholesky", 4).num_tasks  # not the default
+        assert ["tasks", str(tasks)] in [line.split() for line in out.splitlines()]
 
     def test_compare_runs(self, capsys):
         rc = main([
@@ -36,6 +49,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "heft" in out and "mct" in out
+        assert "sigma=0.2" in out.splitlines()[0]
 
     def test_train_and_evaluate_roundtrip(self, tmp_path, capsys):
         ckpt = str(tmp_path / "agent.npz")
@@ -43,12 +57,25 @@ class TestCommands:
             "train", "--tiles", "2", "--updates", "3", "--out", ckpt,
         ])
         assert rc == 0
+        assert _saved_workload(ckpt) == WorkloadSpec(tiles=2)
         rc = main([
             "evaluate", "--tiles", "2", "--agent", ckpt, "--runs", "1",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "readys mean" in out
+        # a streaming run records its mixture, not the single-DAG defaults
+        mixed = str(tmp_path / "mixed.npz")
+        rc = main([
+            "train", "--families", "lu", "qr", "--tile-choices", "2",
+            "--arrival", "poisson", "--num-jobs", "2", "--updates", "1",
+            "--out", mixed,
+        ])
+        assert rc == 0
+        assert _saved_workload(mixed) == WorkloadSpec(
+            name="mixed-families", families=("lu", "qr"), tile_choices=(2,),
+            arrival="poisson", num_jobs=2,
+        )
 
     def test_train_terminal_reward_and_sparse(self, tmp_path, capsys):
         rc = main([
@@ -131,7 +158,7 @@ class TestObservability:
             parsed.span_names()
         )
         assert parsed.meta["run"]["command"] == "train"
-        assert parsed.meta["run"]["spec"]["tiles"] == 2
+        assert parsed.meta["run"]["spec"]["workload"]["tiles"] == 2
 
         capsys.readouterr()
         rc = main(["report-run", trace, "--metrics", metrics])

@@ -13,7 +13,7 @@ from repro.graphs.durations import CHOLESKY_DURATIONS, DurationTable
 from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.noise import GaussianNoise, NoiseModel, NoNoise
 from repro.platforms.resources import Platform
-from repro.schedulers import RUNNERS, make_runner
+from repro.schedulers import available, get
 from repro.sim.engine import Simulation
 from repro.sim.env import SchedulingEnv, run_policy
 from repro.rl.trainer import default_agent, evaluate_agent
@@ -43,10 +43,10 @@ TABLE = DurationTable(("A", "B", "C", "D"), cpu=(10.0, 20.0, 30.0, 40.0), gpu=(1
 
 
 class TestDegenerateInstances:
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", available())
     def test_single_task_single_proc(self, name):
         sim = Simulation(SINGLE, Platform(1, 0), TABLE, NoNoise(), rng=0)
-        mk = make_runner(name)(sim, rng=0)
+        mk = get(name)(sim, rng=0)
         assert mk == pytest.approx(10.0)
         sim.check_trace()
 
@@ -54,7 +54,7 @@ class TestDegenerateInstances:
     def test_many_procs_few_tasks(self, name):
         g = TaskGraph(2, [(0, 1)], [0, 0], ("A", "B", "C", "D"))
         sim = Simulation(g, Platform(8, 8), TABLE, NoNoise(), rng=0)
-        make_runner(name)(sim, rng=0)
+        get(name)(sim, rng=0)
         sim.check_trace()
 
     def test_env_single_task(self):
@@ -77,7 +77,7 @@ class TestAdversarialNoise:
         must still process every task exactly once."""
         sim = Simulation(cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS,
                          ZeroNoise(), rng=0)
-        mk = make_runner("mct")(sim, rng=0)
+        mk = get("mct")(sim, rng=0)
         assert mk == 0.0
         sim.check_trace()
 
@@ -92,7 +92,7 @@ class TestAdversarialNoise:
         for name in ("heft", "mct"):
             sim = Simulation(cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS,
                              HugeNoise(), rng=1)
-            make_runner(name)(sim, rng=1)
+            get(name)(sim, rng=1)
             sim.check_trace()
 
     def test_huge_noise_through_agent(self):
@@ -107,7 +107,7 @@ class TestAdversarialNoise:
     def test_extreme_sigma_gaussian(self):
         sim = Simulation(cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS,
                          GaussianNoise(5.0), rng=0)
-        make_runner("mct")(sim, rng=0)
+        get("mct")(sim, rng=0)
         sim.check_trace()
 
 

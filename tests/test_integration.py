@@ -19,8 +19,8 @@ from repro import (
     Simulation,
     cholesky_dag,
     compare_methods,
+    get,
     lu_dag,
-    make_runner,
     qr_dag,
 )
 from repro.rl.a2c import A2CConfig
@@ -41,7 +41,7 @@ class TestAllKernelsAllPlatforms:
         platform = Platform(cpus, gpus)
         for name in ("heft", "mct"):
             sim = Simulation(graph, platform, durations, NoNoise(), rng=0)
-            mk = make_runner(name)(sim, rng=0)
+            mk = get(name)(sim, rng=0)
             assert mk > 0
             sim.check_trace()
 
@@ -92,7 +92,7 @@ class TestNoiseDegradesStatic:
             mks = []
             for s in range(seeds):
                 sim = Simulation(graph, platform, CHOLESKY_DURATIONS, noise, rng=s)
-                mks.append(make_runner(name)(sim, rng=s))
+                mks.append(get(name)(sim, rng=s))
             return np.mean(mks)
 
         heft_ratio = mean_mk("heft", 0.8) / mean_mk("heft", 0.0)
@@ -108,13 +108,13 @@ class TestEndToEndLearning:
         env = SchedulingEnv(
             graph, platform, CHOLESKY_DURATIONS, NoNoise(), window=2, rng=0
         )
-        trainer = ReadysTrainer.from_components(env, config=A2CConfig(entropy_coef=1e-2), rng=0)
+        trainer = ReadysTrainer(env, config=A2CConfig(entropy_coef=1e-2), rng=0)
         trainer.train_updates(450)
         trained = np.mean(evaluate_agent(trainer.agent, env, episodes=3, rng=1))
         random_mks = []
         for s in range(3):
             sim = Simulation(graph, platform, CHOLESKY_DURATIONS, NoNoise(), rng=s)
-            random_mks.append(make_runner("random")(sim, rng=s))
+            random_mks.append(get("random")(sim, rng=s))
         assert trained < np.mean(random_mks)
 
     def test_transfer_to_larger_instance_completes_well(self):
@@ -122,7 +122,7 @@ class TestEndToEndLearning:
             cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),
             window=2, rng=0,
         )
-        trainer = ReadysTrainer.from_components(env4, config=A2CConfig(entropy_coef=1e-2), rng=0)
+        trainer = ReadysTrainer(env4, config=A2CConfig(entropy_coef=1e-2), rng=0)
         trainer.train_updates(450)
         env8 = SchedulingEnv(
             cholesky_dag(8), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),

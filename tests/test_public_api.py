@@ -48,7 +48,10 @@ class TestPublicAPI:
         assert obs.num_actions >= 1
 
     def test_runners_registry_exposed(self):
-        assert "heft" in repro.RUNNERS and "mct" in repro.RUNNERS
+        assert repro.get("heft") is repro.run_heft
+        assert repro.get("mct") is repro.run_mct
+        assert "RUNNERS" not in repro.__all__
+        assert "make_runner" not in repro.__all__
 
     def test_scheduler_registry_exposed(self):
         assert "heft" in repro.available()
@@ -61,8 +64,8 @@ class TestPublicAPI:
         assert obs.METRICS.enabled is False
 
     def test_experiment_spec_exposed(self):
-        spec = repro.ExperimentSpec(tiles=3)
-        assert spec.to_dict()["tiles"] == 3
+        spec = repro.ExperimentSpec(workload={"tiles": 3})
+        assert spec.to_dict()["workload"]["tiles"] == 3
 
 
 class TestCuratedAll:
@@ -98,5 +101,4 @@ class TestCuratedAll:
 
     def test_trainer_factories_are_the_documented_entrypoints(self):
         assert callable(repro.ReadysTrainer.from_spec)
-        assert callable(repro.ReadysTrainer.from_components)
         assert callable(repro.ReadysTrainer.from_checkpoint)

@@ -1,32 +1,42 @@
-"""Spec-first construction API: factories, the deprecation shim, JSON round-trip."""
+"""Spec-first construction API: factories, old spec formats, JSON round-trip."""
 
 import json
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.rl.a2c import A2CConfig
 from repro.rl.trainer import ReadysTrainer
 from repro.sim.env import SchedulingEnv
 from repro.sim.vec_env import VecSchedulingEnv
-from repro.spec import ExperimentSpec, ServeSpec, make_env, make_train_env
+from repro.spec import (
+    ExperimentSpec,
+    ServeSpec,
+    WorkloadSpec,
+    make_env,
+    make_train_env,
+)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class TestSpecFirstConstruction:
     def test_make_env_module_function(self):
-        spec = ExperimentSpec(tiles=3)
+        spec = ExperimentSpec(workload={"tiles": 3})
         env = make_env(spec)
         assert isinstance(env, SchedulingEnv)
         assert env.window == spec.window
 
     def test_make_train_env_module_function(self):
         assert isinstance(
-            make_train_env(ExperimentSpec(tiles=2)), SchedulingEnv
+            make_train_env(ExperimentSpec(workload={"tiles": 2})), SchedulingEnv
         )
         assert isinstance(
-            make_train_env(ExperimentSpec(tiles=2, num_envs=3)), VecSchedulingEnv
+            make_train_env(ExperimentSpec(workload={"tiles": 2}, num_envs=3)), VecSchedulingEnv
         )
 
     def test_entrypoints_reexported_at_top_level(self):
@@ -35,17 +45,17 @@ class TestSpecFirstConstruction:
 
     def test_from_spec_trains(self):
         trainer = ReadysTrainer.from_spec(
-            ExperimentSpec(tiles=2), config=A2CConfig(unroll_length=4)
+            ExperimentSpec(workload={"tiles": 2}), config=A2CConfig(unroll_length=4)
         )
         result = trainer.train_updates(1)
         assert len(result.update_stats) == 1
-        assert trainer.spec == ExperimentSpec(tiles=2)
+        assert trainer.spec == ExperimentSpec(workload={"tiles": 2})
 
     def test_from_spec_matches_manual_composition(self):
-        spec = ExperimentSpec(tiles=3, num_envs=2, seed=4)
+        spec = ExperimentSpec(workload={"tiles": 3}, num_envs=2, seed=4)
         config = A2CConfig(unroll_length=5)
         a = ReadysTrainer.from_spec(spec, config=config).train_updates(2)
-        b = ReadysTrainer.from_components(
+        b = ReadysTrainer(
             spec.make_train_env(), config=config, rng=spec.seed
         ).train_updates(2)
         assert [s.policy_loss for s in a.update_stats] == [
@@ -53,29 +63,25 @@ class TestSpecFirstConstruction:
         ]
 
 
-class TestRemovedLooseKwargCtor:
-    """The PR 4 deprecation graduated: direct construction is a TypeError."""
+class TestComponentConstruction:
+    """The constructor composes a trainer from pre-built parts."""
 
-    def test_direct_construction_raises_with_migration_hint(self):
-        env = make_env(ExperimentSpec(tiles=2))
-        with pytest.raises(TypeError, match="from_spec"):
-            ReadysTrainer(env, rng=0)
+    def test_constructor_wraps_a_single_env(self):
+        trainer = ReadysTrainer(make_env(ExperimentSpec(workload={"tiles": 2})), rng=0)
+        assert trainer.num_envs == 1
+        assert trainer.spec is None  # only from_spec records a spec
 
-    def test_error_names_both_factories(self):
-        with pytest.raises(TypeError, match="from_components"):
-            ReadysTrainer(make_env(ExperimentSpec(tiles=2)))
-
-    def test_factories_do_not_warn_or_raise(self):
+    def test_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ReadysTrainer.from_spec(ExperimentSpec(tiles=2))
-            ReadysTrainer.from_components(make_env(ExperimentSpec(tiles=2)), rng=0)
+            ReadysTrainer.from_spec(ExperimentSpec(workload={"tiles": 2}))
+            ReadysTrainer(make_env(ExperimentSpec(workload={"tiles": 2})), rng=0)
 
 
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = ExperimentSpec(
-            kernel="lu", tiles=5, sigma=0.2,
+            workload={"kernel": "lu", "tiles": 5, "sigma": 0.2},
             checkpoint_every=10, resume="runs/ck.pkl",
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
@@ -91,20 +97,18 @@ class TestSpecSerialization:
             ExperimentSpec.from_json("[1, 2]")
 
     def test_from_dict_ignores_unknown_keys(self):
-        spec = ExperimentSpec.from_dict({"tiles": 3, "not_a_field": 1})
-        assert spec.tiles == 3
+        spec = ExperimentSpec.from_dict({"seed": 3, "not_a_field": 1})
+        assert spec.seed == 3
         # dicts written while compiled updates were optional still load
-        spec = ExperimentSpec.from_dict({"tiles": 3, "compiled_train": True})
-        assert spec.tiles == 3
+        spec = ExperimentSpec.from_dict({"seed": 3, "compiled_train": True})
+        assert spec.seed == 3
         assert "compiled_train" not in spec.to_dict()
 
 
 class TestRemovedWorkersField:
     """``workers`` left the spec with the multiprocess rollout pool."""
 
-    FIXTURE = os.path.join(
-        os.path.dirname(__file__), "fixtures", "spec_pr7_workers.json"
-    )
+    FIXTURE = os.path.join(FIXTURES, "spec_pr7_workers.json")
 
     def test_multi_worker_spec_is_refused(self):
         with open(self.FIXTURE) as fh:
@@ -118,7 +122,7 @@ class TestRemovedWorkersField:
             {"workload": {"name": "single", "tiles": 3}, "num_envs": 2,
              "workers": 1}
         )
-        assert spec.tiles == 3
+        assert spec.workload.tiles == 3
         assert spec.num_envs == 2
         assert "workers" not in spec.to_dict()
 
@@ -185,30 +189,22 @@ class TestNewSpecFields:
 
 class TestWorkloadSpec:
     def test_defaults_describe_the_static_setting(self):
-        from repro.spec import WorkloadSpec
-
         wl = WorkloadSpec()
         assert wl.name == "single"
         assert wl.arrival == "none"
         assert not wl.is_streaming
 
     def test_unknown_registry_name_raises(self):
-        from repro.spec import WorkloadSpec
-
         with pytest.raises(KeyError, match="available"):
             WorkloadSpec(name="no-such-workload")
 
     def test_strict_from_dict_with_did_you_mean(self):
-        from repro.spec import WorkloadSpec
-
         with pytest.raises(ValueError, match="did you mean 'arrival'"):
             WorkloadSpec.from_dict({"arival": "poisson"})
         with pytest.raises(ValueError, match="valid keys"):
             WorkloadSpec.from_dict({"zzzz": 1})
 
     def test_validation(self):
-        from repro.spec import WorkloadSpec
-
         with pytest.raises(ValueError, match="arrival"):
             WorkloadSpec(arrival="weibull")
         with pytest.raises(ValueError, match="rate"):
@@ -223,8 +219,6 @@ class TestWorkloadSpec:
             WorkloadSpec(arrival="poisson", horizon_time=-1.0)
 
     def test_json_round_trip(self):
-        from repro.spec import WorkloadSpec
-
         wl = WorkloadSpec(
             name="mixed-families", families=("cholesky", "lu"),
             tile_choices=(2, 3), arrival="trace", trace=(0.0, 4.5),
@@ -257,55 +251,117 @@ class TestWorkloadSpec:
         assert spec.reward_mode == "makespan"
 
 
-class TestWorkloadDeprecationShim:
-    def test_loose_keys_warn_and_auto_wrap(self):
-        with pytest.warns(DeprecationWarning, match="workload"):
-            spec = ExperimentSpec.from_dict({"kernel": "lu", "tiles": 5})
-        assert spec.workload.name == "single"
-        assert spec.workload.kernel == "lu"
-        assert spec.workload.tiles == 5
+#: the graph fields ExperimentSpec once carried at top level as well
+LOOSE_KEYS = ("kernel", "tiles", "noise", "sigma")
+
+_floats = dict(allow_nan=False, allow_infinity=False)
+
+workload_specs = st.builds(
+    WorkloadSpec,
+    name=st.sampled_from(["single", "size-mixture", "mixed-families"]),
+    kernel=st.sampled_from(["cholesky", "lu", "qr"]),
+    tiles=st.integers(1, 12),
+    tile_choices=st.lists(st.integers(1, 12), max_size=3).map(tuple),
+    families=st.lists(
+        st.sampled_from(["cholesky", "lu", "qr", "random"]), max_size=3
+    ).map(tuple),
+    noise=st.sampled_from(["gaussian", "lognormal", "uniform", "gamma", "none"]),
+    sigma=st.floats(0.0, 2.0, **_floats),
+    arrival=st.sampled_from(["none", "poisson"]),
+    rate=st.floats(1e-4, 1.0, **_floats),
+    num_jobs=st.integers(1, 16),
+    horizon_time=st.none() | st.floats(1.0, 1e6, **_floats),
+) | st.builds(
+    WorkloadSpec,
+    name=st.just("mixed-families"),
+    arrival=st.just("trace"),
+    trace=st.lists(
+        st.floats(0.0, 1e4, **_floats), min_size=1, max_size=4
+    ).map(sorted).map(tuple),
+)
+
+
+@st.composite
+def experiment_specs(draw):
+    workload = draw(workload_specs)
+    rewards = ["jct", "slowdown", "makespan"] if workload.is_streaming else []
+    return ExperimentSpec(
+        cpus=draw(st.integers(1, 4)),
+        gpus=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 2**31)),
+        window=draw(st.integers(0, 4)),
+        sparse_state=draw(st.booleans()),
+        num_envs=draw(st.integers(1, 8)),
+        reward_mode=draw(st.sampled_from(["dense", "terminal"] + rewards)),
+        checkpoint_every=draw(st.integers(0, 50)),
+        resume=draw(st.none() | st.just("runs/ck.pkl")),
+        workload=workload,
+    )
+
+
+class TestOldSpecFormats:
+    """Spec dicts written before the instance lived only in ``workload``."""
+
+    def test_parent_written_mirrors_load_to_the_intended_spec(self):
+        """Written by ``to_json()`` while the loose fields still mirrored the
+        workload: the mirrors sit next to the ``workload`` block and are
+        ignored."""
+        with open(os.path.join(FIXTURES, "spec_with_mirrors.json")) as fh:
+            payload = fh.read()
+        assert set(LOOSE_KEYS) <= set(json.loads(payload))
+        spec = ExperimentSpec.from_json(payload)
+        assert spec == ExperimentSpec(
+            seed=5, num_envs=4, window=1, checkpoint_every=3,
+            reward_mode="jct",
+            workload=WorkloadSpec(
+                name="mixed-families", families=("lu", "qr"),
+                tile_choices=(3, 4), noise="lognormal", sigma=0.1,
+                arrival="poisson", rate=0.005, num_jobs=8,
+            ),
+        )
+        assert not set(LOOSE_KEYS) & set(spec.to_dict())
+
+    @pytest.mark.parametrize(
+        "fixture", ["spec_pr4_loose.json", "spec_pr8_compiled.json"]
+    )
+    def test_pre_workload_fixtures_are_refused_naming_their_keys(self, fixture):
+        with open(os.path.join(FIXTURES, fixture)) as fh:
+            payload = fh.read()
+        assert "workload" not in json.loads(payload)
+        with pytest.raises(ValueError, match="workload") as excinfo:
+            ExperimentSpec.from_json(payload)
+        for key in LOOSE_KEYS:
+            assert repr(key) in str(excinfo.value)
+
+    def test_refusal_names_only_the_keys_present(self):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentSpec.from_dict({"tiles": 5, "seed": 1})
+        assert "'tiles'" in str(excinfo.value)
+        assert "'kernel'" not in str(excinfo.value)
 
     def test_nested_workload_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ExperimentSpec.from_dict(
+            spec = ExperimentSpec.from_dict(
                 {"workload": {"name": "single", "kernel": "lu", "tiles": 5}}
             )
+        assert (spec.workload.kernel, spec.workload.tiles) == ("lu", 5)
 
-    def test_mirror_fields_follow_the_nested_workload(self):
-        spec = ExperimentSpec(workload={"name": "single", "kernel": "qr",
-                                        "tiles": 6, "sigma": 0.3})
-        assert (spec.kernel, spec.tiles, spec.sigma) == ("qr", 6, 0.3)
+    def test_loose_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec(tiles=3)
+        with pytest.raises(TypeError):
+            ExperimentSpec().replace(kernel="lu")
 
-    def test_replace_on_a_mirror_updates_the_workload(self):
-        spec = ExperimentSpec(tiles=4).replace(tiles=7)
-        assert spec.tiles == 7
-        assert spec.workload.tiles == 7
+    @given(workload_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_workload_json_round_trip(self, workload):
+        assert WorkloadSpec.from_json(workload.to_json()) == workload
 
-    def test_every_fixture_spec_round_trips_through_the_shim(self):
-        """Every pre-streaming spec JSON in tests/fixtures loads (with the
-        deprecation warning), preserves its loose fields as mirrors, and
-        round-trips cleanly in the new nested format.  The multi-worker
-        fixture is refused instead (TestRemovedWorkersField)."""
-        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
-        paths = sorted(
-            os.path.join(fixtures, f)
-            for f in os.listdir(fixtures)
-            if f.startswith("spec_") and f.endswith(".json")
-            and f != os.path.basename(TestRemovedWorkersField.FIXTURE)
-        )
-        assert paths  # the fixture set must not silently vanish
-        for path in paths:
-            with open(path) as fh:
-                old = json.load(fh)
-            with pytest.warns(DeprecationWarning):
-                spec = ExperimentSpec.from_json(json.dumps(old))
-            for key in ("kernel", "tiles", "noise", "sigma"):
-                if key in old:
-                    assert getattr(spec, key) == old[key], path
-            assert spec.workload is not None
-            assert not spec.workload.is_streaming
-            # the re-serialised (nested) form round-trips without warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert ExperimentSpec.from_json(spec.to_json()) == spec
+    @given(experiment_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_with_and_without_mirrors(self, spec):
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        mirrors = {key: getattr(spec.workload, key) for key in LOOSE_KEYS}
+        parent_format = json.dumps({**spec.to_dict(), **mirrors})
+        assert ExperimentSpec.from_json(parent_format) == spec

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from repro.utils.timing import Timer
+from repro.obs import Timer
 
 
 class TestTimer:
