@@ -30,10 +30,12 @@ import numpy as np
 from repro import obs
 from repro.analysis import lint as analysis_lint
 from repro.eval.compare import compare_spec
+from repro.policy import AgentPolicy, evaluate_policy
 from repro.rl.a2c import A2CConfig
-from repro.rl.trainer import ReadysTrainer, evaluate_agent
+from repro.rl.trainer import ReadysTrainer
 from repro.rl.transfer import load_agent, save_agent
-from repro.schedulers import available, heft_makespan
+from repro.schedulers import EnvBoundSchedulerPolicy, available, heft_makespan
+from repro.schedulers.registry import get_entry
 from repro.spec import ARRIVALS, KERNELS, NOISE_MODELS, ExperimentSpec, ServeSpec
 from repro.utils.tables import format_table
 
@@ -284,109 +286,75 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.workload.is_streaming:
-        return _evaluate_streaming(args, spec)
-    graph, platform, durations, _ = spec.make_instance()
-    if getattr(args, "server", None):
-        return _evaluate_against_server(args, spec, graph, platform, durations)
-    agent = load_agent(args.agent)
-    env = spec.make_env()
-    with _observed(args, spec, "evaluate"):
-        mks = evaluate_agent(agent, env, episodes=args.runs, rng=spec.seed)
-    heft = heft_makespan(graph, platform, durations)
-    print(
-        f"readys mean {np.mean(mks):.2f} over {len(mks)} episodes "
-        f"(HEFT σ=0 plan: {heft:.2f}, ratio {heft / np.mean(mks):.3f})"
-    )
-    return 0
+    """Roll ``--runs`` seeded episodes of the agent, in process or served.
 
-
-def _evaluate_streaming(args, spec) -> int:
-    """``evaluate`` on a streaming workload: mean JCT / slowdown table.
-
-    The agent (locally, or served via ``--server``) and the online-adapted
-    baselines are rolled over the identical episode stream — evaluation
-    re-seeds each episode from the same root, so every method sees the same
-    job sequences and arrival instants.
+    Local and ``--server`` evaluation run the same :func:`evaluate_policy`
+    episodes (episode *i* is seeded from child *i* of ``--seed``), so they
+    print the same numbers.  On a streaming workload the ``--baselines``
+    (online re-invocation adapters) are rolled over the identical episode
+    stream and a mean JCT / slowdown table is printed.
     """
-    from repro.policy import AgentPolicy, evaluate_streaming
-    from repro.schedulers import EnvBoundSchedulerPolicy
-    from repro.schedulers.registry import get_entry
-
+    spec = _spec_from_args(args)
     env = spec.make_env()
-    rows = []
 
-    def summarize(name, records) -> None:
-        rows.append([
-            name,
-            float(np.mean([r.mean_jct for r in records])),
-            float(np.mean([r.mean_slowdown for r in records])),
-            float(np.mean([r.makespan for r in records])),
-        ])
+    def run(policy):
+        return evaluate_policy(env, policy, episodes=args.runs, seed=spec.seed)
 
+    stats = None
     with _observed(args, spec, "evaluate"):
-        if getattr(args, "server", None):
+        if args.server:
             from repro.serve import RemoteClient
 
             with RemoteClient.for_checkpoint(args.server, args.agent) as client:
-                agent_records = evaluate_streaming(
-                    env, client, episodes=args.runs, seed=spec.seed
-                )
+                records = run(client)
+                stats = client.stats()
         else:
-            agent_records = evaluate_streaming(
-                env, AgentPolicy(load_agent(args.agent)), episodes=args.runs,
-                seed=spec.seed,
-            )
-        summarize("readys", agent_records)
-        for base in getattr(args, "baselines", None) or ():
-            entry = get_entry(base)
-            if entry.cls is None:
-                raise SystemExit(
-                    f"baseline {base!r} has no scheduler class to adapt"
+            records = run(AgentPolicy(load_agent(args.agent)))
+        methods = [("readys", records)]
+        if spec.workload.is_streaming:
+            for base in args.baselines:
+                entry = get_entry(base)
+                if entry.cls is None:
+                    raise SystemExit(
+                        f"baseline {base!r} has no scheduler class to adapt"
+                    )
+                methods.append(
+                    (base, run(EnvBoundSchedulerPolicy(entry.cls(), env)))
                 )
-            policy = EnvBoundSchedulerPolicy(entry.cls(), env)
-            summarize(
-                base,
-                evaluate_streaming(env, policy, episodes=args.runs, seed=spec.seed),
-            )
-    served = f" (served via {args.server})" if getattr(args, "server", None) else ""
-    print(
-        f"streaming workload {spec.workload.name!r}: {spec.workload.arrival} "
-        f"arrivals, {args.runs} episodes{served}"
-    )
-    print(format_table(
-        ["method", "mean JCT", "mean slowdown", "mean makespan"],
-        rows, floatfmt=".2f",
-    ))
-    return 0
-
-
-def _evaluate_against_server(args, spec, graph, platform, durations) -> int:
-    """``evaluate --server``: the same episodes, decided remotely."""
-    from repro.policy import evaluate_policy
-    from repro.serve import RemoteClient
-
-    env = spec.make_env()
-    with _observed(args, spec, "evaluate"):
-        with RemoteClient.for_checkpoint(args.server, args.agent) as client:
-            records = evaluate_policy(
-                env, client, episodes=args.runs, seed=spec.seed
-            )
-            stats = client.stats()
-    mks = [r.makespan for r in records]
-    heft = heft_makespan(graph, platform, durations)
-    print(
-        f"readys (served via {args.server}) mean {np.mean(mks):.2f} over "
-        f"{len(mks)} episodes (HEFT σ=0 plan: {heft:.2f}, "
-        f"ratio {heft / np.mean(mks):.3f})"
-    )
-    print(
-        "server: {d:.0f} decisions, mean batch {b:.2f}".format(
-            d=stats.get("decisions_total", 0.0),
-            b=stats.get("mean_batch_size", 0.0),
+    served = f" (served via {args.server})" if args.server else ""
+    if spec.workload.is_streaming:
+        print(
+            f"streaming workload {spec.workload.name!r}: {spec.workload.arrival} "
+            f"arrivals, {args.runs} episodes{served}"
         )
-    )
+        rows = [
+            [
+                name,
+                float(np.mean([r.mean_jct for r in rs])),
+                float(np.mean([r.mean_slowdown for r in rs])),
+                float(np.mean([r.makespan for r in rs])),
+            ]
+            for name, rs in methods
+        ]
+        print(format_table(
+            ["method", "mean JCT", "mean slowdown", "mean makespan"],
+            rows, floatfmt=".2f",
+        ))
+    else:
+        graph, platform, durations, _ = spec.make_instance()
+        mean = np.mean([r.makespan for r in records])
+        heft = heft_makespan(graph, platform, durations)
+        print(
+            f"readys{served} mean {mean:.2f} over {len(records)} episodes "
+            f"(HEFT σ=0 plan: {heft:.2f}, ratio {heft / mean:.3f})"
+        )
+    if stats is not None:
+        print(
+            "server: {d:.0f} decisions, mean batch {b:.2f}".format(
+                d=stats.get("decisions_total", 0.0),
+                b=stats.get("mean_batch_size", 0.0),
+            )
+        )
     return 0
 
 
@@ -517,8 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--baselines", nargs="+", default=["online-heft", "online-mct"],
         metavar="NAME",
-        help="baseline schedulers evaluated alongside the agent on "
-             "streaming workloads (online re-invocation adapters)",
+        help="baseline schedulers evaluated alongside the agent; streaming "
+             "workloads only (online re-invocation adapters), static "
+             "workloads ignore it",
     )
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -15,7 +15,8 @@ import numpy as np
 from repro.eval.metrics import mean_confidence_interval
 from repro.obs import Timer, metrics
 from repro.rl.agent import ReadysAgent
-from repro.sim.env import SchedulingEnv
+from repro.sim.env import SchedulingEnv, run_policy
+from repro.sim.state import Observation
 from repro.sim.vec_env import VecSchedulingEnv
 from repro.utils.seeding import SeedLike, as_generator
 
@@ -33,15 +34,16 @@ def inference_timing(
     """
     rng = as_generator(rng)
     samples: List[Tuple[int, float]] = []
+
+    def timed_decision(obs: Observation) -> int:
+        timer = Timer()
+        with timer:
+            action = agent.sample_action(obs, rng)
+        samples.append((obs.num_nodes, timer.total))
+        return action
+
     for _ in range(episodes):
-        obs = env.reset().obs
-        done = False
-        while not done:
-            timer = Timer()
-            with timer:
-                action = agent.sample_action(obs, rng)
-            samples.append((obs.num_nodes, timer.total))
-            obs, _r, done, _info = env.step(action)
+        run_policy(env, timed_decision)
     if metrics.METRICS.enabled:
         # per-decision latency histogram (raw samples; a Timer metric keeps
         # them all, so p50/p95 can be recomputed from the dump)

@@ -36,7 +36,6 @@ from repro.policy.evaluate import (
     EpisodeRecord,
     StreamingEpisodeRecord,
     evaluate_policy,
-    evaluate_streaming,
 )
 
 # the scheduler adapter is defined next to the schedulers themselves (layer
@@ -70,6 +69,5 @@ __all__ = [
     "encode_reply",
     "encode_request",
     "evaluate_policy",
-    "evaluate_streaming",
     "policy_fingerprint",
 ]

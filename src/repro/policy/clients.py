@@ -4,10 +4,10 @@
 the same surface the socket :class:`~repro.serve.client.RemoteClient`
 exposes — ``decide``/``decide_many`` plus ``stats``/``close`` — so an
 environment-driven evaluation loop can run against either without changing a
-line.  By default every observation round-trips through the JSON codec
-first: the local client then exercises *the identical numeric path* the wire
-does, which is what makes "local vs remote greedy evaluation is
-row-identical" a by-construction property rather than a coincidence.
+line.  Every observation round-trips through the JSON codec first: the local
+client then exercises *the identical numeric path* the wire does, which is
+what makes "local vs remote greedy evaluation is row-identical" a
+by-construction property rather than a coincidence.
 """
 
 from __future__ import annotations
@@ -22,21 +22,14 @@ from repro.sim.state import Observation
 class InProcessClient:
     """A :class:`Policy` client that answers from a policy in this process.
 
-    Parameters
-    ----------
-    policy:
-        The wrapped decision maker.
-    codec_roundtrip:
-        When true (default), every observation is encoded to the wire dict
-        and decoded back before the policy sees it — the same transformation
-        a remote request undergoes.  The round-trip is float-bitwise exact
-        (see :mod:`repro.policy.codec`), so this changes no decision; set
-        ``False`` to shave the copy in pure-local pipelines.
+    Every observation is encoded to the wire dict and decoded back before
+    ``policy`` sees it — the same transformation a remote request undergoes.
+    The round-trip is float-bitwise exact (see :mod:`repro.policy.codec`),
+    so it changes no decision.
     """
 
-    def __init__(self, policy: Policy, codec_roundtrip: bool = True) -> None:
+    def __init__(self, policy: Policy) -> None:
         self.policy = policy
-        self.codec_roundtrip = codec_roundtrip
         self._decisions = 0
         self._closed = False
 
@@ -44,17 +37,13 @@ class InProcessClient:
 
     def decide(self, obs: Observation) -> int:
         self._check_open()
-        if self.codec_roundtrip:
-            obs = decode_observation(encode_observation(obs))
+        obs = decode_observation(encode_observation(obs))
         self._decisions += 1
         return int(self.policy.decide(obs))
 
     def decide_many(self, obs_list: Sequence[Observation]) -> List[int]:
         self._check_open()
-        if self.codec_roundtrip:
-            obs_list = [
-                decode_observation(encode_observation(obs)) for obs in obs_list
-            ]
+        obs_list = [decode_observation(encode_observation(obs)) for obs in obs_list]
         self._decisions += len(obs_list)
         return [int(a) for a in self.policy.decide_many(list(obs_list))]
 

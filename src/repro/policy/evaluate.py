@@ -1,21 +1,27 @@
 """Environment-driven evaluation against any :class:`~repro.policy.api.Policy`.
 
-The loop is deliberately policy-agnostic: the same code evaluates a local
-agent, a baseline-scheduler adapter, an :class:`~repro.policy.clients.InProcessClient`
-or a :class:`~repro.serve.client.RemoteClient` — whatever answers
-``decide(obs)``.  Episodes are seeded individually (children of one root),
-so two evaluations with the same ``(spec, seed)`` replay identical episode
+One driver: :func:`evaluate_policy` rolls each episode with
+:func:`repro.sim.env.run_policy`, the single-environment episode loop, for
+static and streaming environments alike.  The loop is policy-agnostic: the
+same code evaluates a local agent, a baseline-scheduler adapter, an
+:class:`~repro.policy.clients.InProcessClient` or a
+:class:`~repro.serve.client.RemoteClient` — whatever answers
+``decide(obs)``.  Episode *i* is seeded from child *i* of one root seed, so
+two evaluations with the same ``(spec, seed)`` replay identical episode
 streams decision-for-decision; the returned records carry the full action
 sequence, which is what the local-vs-remote row-identity tests compare.
+``repro evaluate`` runs this function with the local agent or, with
+``--server``, with a remote client, so both print the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from repro.policy.api import Policy
-from repro.sim.env import SchedulingEnv
+from repro.sim.env import SchedulingEnv, run_policy
+from repro.sim.streaming import StreamingSchedulingEnv
 from repro.utils.seeding import SeedLike, spawn_seed_sequences
 
 
@@ -67,93 +73,48 @@ def evaluate_policy(
     episodes: int = 1,
     seed: SeedLike = 0,
     max_decisions: int = 1_000_000,
-) -> List[EpisodeRecord]:
+) -> Union[List[EpisodeRecord], List[StreamingEpisodeRecord]]:
     """Roll ``episodes`` full episodes of ``env`` under ``policy``.
 
-    Each episode re-seeds the environment with an independent child of
-    ``seed`` (one root, :func:`~repro.utils.seeding.spawn_seed_sequences`),
-    so the episode stream depends only on ``(env instance, seed)`` — not on
-    the policy, prior history, or the transport the policy sits behind.
-    ``max_decisions`` guards against runaway-pass policies.
+    Each episode is one :func:`~repro.sim.env.run_policy` call that re-seeds
+    the environment with an independent child of ``seed`` (one root,
+    :func:`~repro.utils.seeding.spawn_seed_sequences`), so the episode stream
+    depends only on ``(env instance, seed)`` — not on the policy, prior
+    history, or the transport the policy sits behind.  A streaming
+    environment yields :class:`StreamingEpisodeRecord` rows, any other an
+    :class:`EpisodeRecord` per episode.  ``max_decisions`` guards against
+    runaway-pass policies.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    records: List[EpisodeRecord] = []
-    reset_policy = getattr(policy, "reset", None)
-    for child in spawn_seed_sequences(seed, episodes):
-        observation = env.reset(seed=child).obs
-        # stateful policies (static-replay cursors, remote sessions) restart
-        # their episode state here; stateless ones simply lack the hook
-        if callable(reset_policy):
-            reset_policy()
-        actions: List[int] = []
-        for _ in range(max_decisions):
-            action = int(policy.decide(observation))
-            actions.append(action)
-            result = env.step(action)
-            if result.done:
-                records.append(
-                    EpisodeRecord(
-                        makespan=float(result.info["makespan"]),
-                        heft_makespan=float(result.info["heft_makespan"]),
-                        reward=float(result.reward),
-                        actions=tuple(actions),
-                    )
-                )
-                break
-            observation = result.obs
-        else:
-            raise RuntimeError(f"episode exceeded {max_decisions} decisions")
-    return records
+    record = (
+        _streaming_record if isinstance(env, StreamingSchedulingEnv) else _record
+    )
+    return [
+        record(run_policy(env, policy, max_steps=max_decisions, seed=child))
+        for child in spawn_seed_sequences(seed, episodes)
+    ]
 
 
-def evaluate_streaming(
-    env: SchedulingEnv,
-    policy: Policy,
-    episodes: int = 1,
-    seed: SeedLike = 0,
-    max_decisions: int = 1_000_000,
-) -> List[StreamingEpisodeRecord]:
-    """Roll ``episodes`` streaming episodes of ``env`` under ``policy``.
+def _record(info: dict) -> EpisodeRecord:
+    return EpisodeRecord(
+        makespan=float(info["makespan"]),
+        heft_makespan=float(info["heft_makespan"]),
+        reward=float(info["reward"]),
+        actions=info["actions"],
+    )
 
-    The streaming sibling of :func:`evaluate_policy` — identical seeding and
-    driving discipline (so the row-identity guarantee carries over), but the
-    record accumulates the dense return and reads the multi-job terminal
-    statistics (``jcts``/``slowdowns``) the streaming environment reports.
-    """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    records: List[StreamingEpisodeRecord] = []
-    reset_policy = getattr(policy, "reset", None)
-    for child in spawn_seed_sequences(seed, episodes):
-        observation = env.reset(seed=child).obs
-        if callable(reset_policy):
-            reset_policy()
-        actions: List[int] = []
-        total_reward = 0.0
-        for _ in range(max_decisions):
-            action = int(policy.decide(observation))
-            actions.append(action)
-            result = env.step(action)
-            total_reward += float(result.reward)
-            if result.done:
-                info = result.info
-                records.append(
-                    StreamingEpisodeRecord(
-                        makespan=float(info["makespan"]),
-                        heft_makespan=float(info["heft_makespan"]),
-                        reward=total_reward,
-                        actions=tuple(actions),
-                        num_jobs=int(info["num_jobs"]),
-                        mean_jct=float(info["mean_jct"]),
-                        mean_slowdown=float(info["mean_slowdown"]),
-                        jcts=tuple(float(v) for v in info["jcts"]),
-                        slowdowns=tuple(float(v) for v in info["slowdowns"]),
-                        arrivals=tuple(float(v) for v in info["arrivals"]),
-                    )
-                )
-                break
-            observation = result.obs
-        else:
-            raise RuntimeError(f"episode exceeded {max_decisions} decisions")
-    return records
+
+def _streaming_record(info: dict) -> StreamingEpisodeRecord:
+    return StreamingEpisodeRecord(
+        makespan=float(info["makespan"]),
+        heft_makespan=float(info["heft_makespan"]),
+        reward=info["return"],
+        actions=info["actions"],
+        num_jobs=int(info["num_jobs"]),
+        mean_jct=float(info["mean_jct"]),
+        mean_slowdown=float(info["mean_slowdown"]),
+        jcts=tuple(float(v) for v in info["jcts"]),
+        slowdowns=tuple(float(v) for v in info["slowdowns"]),
+        arrivals=tuple(float(v) for v in info["arrivals"]),
+    )

@@ -23,7 +23,7 @@ from repro.platforms.noise import NoNoise
 from repro.rl.agent import ReadysAgent
 from repro.schedulers.heft import StaticSchedule
 from repro.sim.engine import Simulation
-from repro.sim.env import SchedulingEnv
+from repro.sim.env import SchedulingEnv, run_policy
 from repro.utils.seeding import SeedLike
 
 
@@ -42,10 +42,7 @@ def extract_static_schedule(
         graph, env.platform, env.durations, NoNoise(),
         window=env.window, rng=0,
     )
-    obs = det_env.reset().obs
-    done = False
-    while not done:
-        obs, _r, done, _info = det_env.step(agent.greedy_action(obs))
+    run_policy(det_env, agent.greedy_action)
     sim = det_env.sim
     assert sim is not None and sim.done
 

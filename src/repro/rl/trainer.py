@@ -32,7 +32,7 @@ from repro import obs
 from repro.obs import clock as obs_clock
 from repro.rl.a2c import A2CConfig, A2CUpdater, Transition, UpdateStats
 from repro.rl.agent import AgentConfig, ReadysAgent
-from repro.sim.env import SchedulingEnv
+from repro.sim.env import SchedulingEnv, run_policy
 from repro.sim.state import PROC_FEATURE_DIM, Observation, observation_feature_dim
 from repro.sim.vec_env import VecSchedulingEnv
 from repro.utils.seeding import SeedLike, as_generator
@@ -383,16 +383,7 @@ def evaluate_agent(
     rng = as_generator(rng)
     if isinstance(env, VecSchedulingEnv):
         return _evaluate_vec(agent, env, episodes, greedy, rng)
-    makespans: List[float] = []
-    for _ in range(episodes):
-        observation = env.reset().obs
-        done = False
-        while not done:
-            if greedy:
-                action = agent.greedy_action(observation)
-            else:
-                action = agent.sample_action(observation, rng)
-            result = env.step(action)
-            observation, done = result.obs, result.done
-        makespans.append(result.info["makespan"])
-    return makespans
+    decide = agent.greedy_action if greedy else (
+        lambda observation: agent.sample_action(observation, rng)
+    )
+    return [run_policy(env, decide)["makespan"] for _ in range(episodes)]

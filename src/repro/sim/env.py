@@ -394,19 +394,42 @@ def run_policy(
     env: SchedulingEnv,
     policy: Callable[[Observation], int],
     max_steps: int = 1_000_000,
+    seed: SeedLike = None,
 ) -> dict:
     """Roll one full episode under ``policy``; returns the terminal info dict.
 
-    ``policy`` maps an observation to an action index.  Raises if the episode
-    exceeds ``max_steps`` decisions (a runaway-pass guard for buggy policies).
+    The one single-environment episode loop: evaluation, inference timing
+    and plan extraction all drive their episodes through it.  ``policy``
+    maps an observation to an action index; an object with ``decide`` (a
+    :class:`~repro.policy.api.Policy`) is driven through that method, and
+    its ``reset()``, when it has one, runs after the environment reset and
+    before the first decision, so stateful policies (replay cursors, remote
+    sessions, env-bound schedulers) restart with the episode.  ``seed`` is
+    passed to ``env.reset``.
+
+    Next to the environment's terminal keys the dict carries ``reward`` (the
+    last step's reward), ``return`` (the sum over every step, in order) and
+    ``actions`` (every action taken, in decision order).  Raises if the
+    episode exceeds ``max_steps`` decisions (a runaway-pass guard for buggy
+    policies).
     """
-    observation = env.reset().obs
+    decide = getattr(policy, "decide", policy)
+    observation = env.reset(seed=seed).obs
+    reset_policy = getattr(policy, "reset", None)
+    if callable(reset_policy):
+        reset_policy()
+    actions = []
+    total = 0.0
     for _ in range(max_steps):
-        action = policy(observation)
+        action = int(decide(observation))
+        actions.append(action)
         result = env.step(action)
+        total += float(result.reward)
         if result.done:
             info = dict(result.info)
             info["reward"] = result.reward
+            info["return"] = total
+            info["actions"] = tuple(actions)
             return info
         observation = result.obs
     raise RuntimeError(f"episode exceeded {max_steps} decisions")

@@ -35,6 +35,53 @@ STREAMING_REWARD_MODES = ("jct", "slowdown", "makespan")
 _LOOSE_WORKLOAD_KEYS = ("kernel", "tiles", "noise", "sigma")
 
 
+# ---------------------------------------------------------------------- #
+# conversions shared by the three spec dataclasses
+# ---------------------------------------------------------------------- #
+
+
+def _from_args(cls, args: Any):
+    """``cls`` from the attributes of ``args`` that are present and not None."""
+    return cls(**{
+        f.name: getattr(args, f.name)
+        for f in fields(cls)
+        if getattr(args, f.name, None) is not None
+    })
+
+
+def _strict_from_dict(cls, data: Dict[str, Any]):
+    """``cls(**data)``, naming the closest field of any unknown key."""
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            close = difflib.get_close_matches(key, names, n=1)
+            hint = f" — did you mean {close[0]!r}?" if close else (
+                f"; valid keys: {', '.join(names)}"
+            )
+            raise ValueError(f"unknown {cls.__name__} key {key!r}{hint}")
+    return cls(**data)
+
+
+def _json_object(payload: str) -> Dict[str, Any]:
+    data = json.loads(payload)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"spec JSON must decode to an object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _to_json(spec: Any) -> str:
+    return json.dumps(spec.to_dict(), sort_keys=True)
+
+
+def _replace(spec: Any, changes: Dict[str, Any]):
+    """A copy of ``spec`` with ``changes`` applied."""
+    merged = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    merged.update(changes)
+    return type(spec)(**merged)
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Declarative description of the job distribution of one experiment.
@@ -178,36 +225,21 @@ class WorkloadSpec:
             WorkloadSpec.from_dict({"arival": "poisson"})
             ValueError: unknown WorkloadSpec key 'arival' — did you mean 'arrival'?
         """
-        names = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in names:
-                close = difflib.get_close_matches(key, names, n=1)
-                hint = f" — did you mean {close[0]!r}?" if close else (
-                    f"; valid keys: {', '.join(names)}"
-                )
-                raise ValueError(f"unknown WorkloadSpec key {key!r}{hint}")
-        return cls(**data)
+        return _strict_from_dict(cls, data)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_json(cls, payload: str) -> "WorkloadSpec":
-        data = json.loads(payload)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"spec JSON must decode to an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(payload))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _to_json(self)
 
     def replace(self, **changes: Any) -> "WorkloadSpec":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(changes)
-        return WorkloadSpec(**merged)
+        return _replace(self, changes)
 
 
 @dataclass(frozen=True)
@@ -280,12 +312,7 @@ class ExperimentSpec:
         that lack e.g. ``--num-envs`` fall back to the field default, so one
         constructor serves every CLI surface.
         """
-        kwargs = {
-            f.name: getattr(args, f.name)
-            for f in fields(cls)
-            if getattr(args, f.name, None) is not None and hasattr(args, f.name)
-        }
-        return cls(**kwargs)
+        return _from_args(cls, args)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
@@ -325,22 +352,15 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, payload: str) -> "ExperimentSpec":
         """Inverse of :meth:`to_json`."""
-        data = json.loads(payload)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"spec JSON must decode to an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(payload))
 
     def to_json(self) -> str:
         """The spec as a JSON object string (round-trips via :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _to_json(self)
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(changes)
-        return ExperimentSpec(**merged)
+        return _replace(self, changes)
 
     # ------------------------------------------------------------------ #
     # materialisation
@@ -498,12 +518,7 @@ class ServeSpec:
     @classmethod
     def from_args(cls, args: Any) -> "ServeSpec":
         """Build from an argparse namespace (or any attribute bag)."""
-        kwargs = {
-            f.name: getattr(args, f.name)
-            for f in fields(cls)
-            if getattr(args, f.name, None) is not None and hasattr(args, f.name)
-        }
-        return cls(**kwargs)
+        return _from_args(cls, args)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServeSpec":
@@ -514,15 +529,7 @@ class ServeSpec:
             ServeSpec.from_dict({"max_batchs": 8})
             ValueError: unknown ServeSpec key 'max_batchs' — did you mean 'max_batch'?
         """
-        names = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in names:
-                close = difflib.get_close_matches(key, names, n=1)
-                hint = f" — did you mean {close[0]!r}?" if close else (
-                    f"; valid keys: {', '.join(names)}"
-                )
-                raise ValueError(f"unknown ServeSpec key {key!r}{hint}")
-        return cls(**data)
+        return _strict_from_dict(cls, data)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -530,20 +537,15 @@ class ServeSpec:
     @classmethod
     def from_json(cls, payload: str) -> "ServeSpec":
         """Inverse of :meth:`to_json`."""
-        data = json.loads(payload)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"spec JSON must decode to an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(payload))
 
     def to_json(self) -> str:
         """The spec as a JSON object string (round-trips via :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _to_json(self)
 
     def replace(self, **changes: Any) -> "ServeSpec":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""
-        return ServeSpec(**{**self.to_dict(), **changes})
+        return _replace(self, changes)
 
 
 # ---------------------------------------------------------------------- #

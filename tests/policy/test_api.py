@@ -171,9 +171,9 @@ class TestInProcessClient:
         env = make_env()
         obs = env.reset(seed=0).obs
         policy = GreedyScheduler().as_policy()
-        with_codec = InProcessClient(policy, codec_roundtrip=True)
-        without = InProcessClient(policy, codec_roundtrip=False)
-        assert with_codec.decide(obs) == without.decide(obs)
+        client = InProcessClient(policy)
+        assert client.decide(obs) == policy.decide(obs)
+        assert client.decide_many([obs, obs]) == policy.decide_many([obs, obs])
 
     def test_reset_forwards_to_stateful_policies(self):
         calls = []

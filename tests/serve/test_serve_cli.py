@@ -2,6 +2,7 @@
 and ``repro evaluate --server`` against it (the CI serve-smoke pair)."""
 
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -88,31 +89,45 @@ def test_serve_smoke_two_clients_then_sigterm_drain(
 
 @pytest.mark.slow
 def test_evaluate_cli_against_a_live_server(tmp_path, trained_checkpoint):
+    """``evaluate --server`` prints the mean local ``evaluate`` prints."""
     sock = str(tmp_path / "eval.sock")
     proc = spawn_server(sock, trained_checkpoint)
+    flags = [
+        "--tiles", "3", "--sigma", "0.3", "--seed", "2",
+        "--agent", trained_checkpoint, "--runs", "3",
+    ]
     try:
-        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "evaluate",
-                "--tiles", "3",
-                "--agent", trained_checkpoint,
-                "--runs", "2",
-                "--server", f"unix:{sock}",
-            ],
-            cwd=REPO,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert f"served via unix:{sock}" in result.stdout
-        assert "server:" in result.stdout  # decisions + mean batch line
+        served = run_evaluate(*flags, "--server", f"unix:{sock}")
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.communicate(timeout=30)
     assert proc.returncode == 0
+    assert f"served via unix:{sock}" in served
+    assert "server:" in served  # decisions + mean batch line
+    local = run_evaluate(*flags)
+    assert "served via" not in local
+    assert mean_of(served) == mean_of(local)
+
+
+def run_evaluate(*flags):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "evaluate", *flags],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def mean_of(stdout):
+    """The mean makespan of ``evaluate``'s static summary line."""
+    match = re.search(r" mean ([0-9.]+) over ", stdout)
+    assert match, stdout
+    return match.group(1)
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policy import AgentPolicy, InProcessClient, evaluate_streaming
+from repro.policy import AgentPolicy, InProcessClient, evaluate_policy
 from repro.rl.a2c import A2CConfig
 from repro.rl.trainer import ReadysTrainer
 from repro.rl.transfer import load_agent, save_agent
@@ -39,7 +39,7 @@ class TestStreamingRowIdentity:
         self, serve_factory, streaming_checkpoint
     ):
         running = serve_factory(checkpoint=streaming_checkpoint)
-        local = evaluate_streaming(
+        local = evaluate_policy(
             STREAMING_SPEC.make_env(),
             InProcessClient(AgentPolicy(load_agent(streaming_checkpoint))),
             episodes=2,
@@ -48,7 +48,7 @@ class TestStreamingRowIdentity:
         with RemoteClient.for_checkpoint(
             running.endpoint, streaming_checkpoint
         ) as client:
-            remote = evaluate_streaming(
+            remote = evaluate_policy(
                 STREAMING_SPEC.make_env(), client, episodes=2, seed=7
             )
         # full records: makespans, returns, action rows, JCT/slowdown stats
@@ -61,7 +61,7 @@ class TestStreamingRowIdentity:
         with RemoteClient.for_checkpoint(
             running.endpoint, streaming_checkpoint
         ) as client:
-            (record,) = evaluate_streaming(
+            (record,) = evaluate_policy(
                 STREAMING_SPEC.make_env(), client, episodes=1, seed=1
             )
         assert record.num_jobs == 3

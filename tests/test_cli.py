@@ -77,6 +77,27 @@ class TestCommands:
             arrival="poisson", num_jobs=2,
         )
 
+    def test_evaluate_prints_the_seeded_evaluate_policy_mean(self, tmp_path, capsys):
+        """Episode i is seeded from child i of --seed, as --server rolls it."""
+        from repro.policy import AgentPolicy, evaluate_policy
+        from repro.rl.trainer import default_agent
+        from repro.rl.transfer import load_agent, save_agent
+        from repro.spec import ExperimentSpec
+
+        spec = ExperimentSpec(seed=1, workload={"tiles": 3, "sigma": 0.3})
+        ckpt = str(tmp_path / "agent.npz")
+        save_agent(default_agent(spec.make_env(), rng=0), ckpt)
+        rc = main([
+            "evaluate", "--tiles", "3", "--sigma", "0.3", "--seed", "1",
+            "--agent", ckpt, "--runs", "4",
+        ])
+        assert rc == 0
+        records = evaluate_policy(
+            spec.make_env(), AgentPolicy(load_agent(ckpt)), episodes=4, seed=1
+        )
+        mean = np.mean([r.makespan for r in records])
+        assert f"readys mean {mean:.2f} over 4 episodes" in capsys.readouterr().out
+
     def test_train_terminal_reward_and_sparse(self, tmp_path, capsys):
         rc = main([
             "train", "--tiles", "2", "--updates", "2",

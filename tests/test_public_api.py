@@ -102,3 +102,11 @@ class TestCuratedAll:
     def test_trainer_factories_are_the_documented_entrypoints(self):
         assert callable(repro.ReadysTrainer.from_spec)
         assert callable(repro.ReadysTrainer.from_checkpoint)
+
+    def test_one_evaluation_driver_exported(self):
+        import repro.policy
+
+        assert "evaluate_policy" in repro.__all__
+        assert "evaluate_policy" in repro.policy.__all__
+        assert "evaluate_streaming" not in repro.policy.__all__
+        assert not hasattr(repro.policy, "evaluate_streaming")
