@@ -36,9 +36,13 @@ NUM_STATIC_FEATURES = 4
 def descendant_weights(graph: TaskGraph) -> np.ndarray:
     """Unnormalised per-type descendant weights ``F̄(i)``, shape (n, num_types).
 
-    Computed in one reverse-topological sweep; each node contributes weight 1
-    of its own type, split equally among its predecessors when propagating
-    upwards.
+    Each node contributes weight 1 of its own type, split equally among its
+    predecessors when propagating upwards.  The sweep runs by height (edges
+    on the longest path down to a sink): a node's successors all sit lower,
+    so every row of one height pulls final rows, with one ``np.add.at`` per
+    height.  Its in-edges are sorted by (predecessor, the successor's
+    reverse-topological rank), so each row adds its terms in the order of a
+    node-by-node reverse-topological sweep, bit for bit.
     """
     n, k = graph.num_tasks, graph.num_types
     f = np.zeros((n, k), dtype=np.float64)
@@ -46,10 +50,31 @@ def descendant_weights(graph: TaskGraph) -> np.ndarray:
     inv_in_degree = np.zeros(n, dtype=np.float64)
     nonzero = graph.in_degree > 0
     inv_in_degree[nonzero] = 1.0 / graph.in_degree[nonzero]
-    for node in graph.topological_order()[::-1]:
-        preds = graph.predecessors(node)
-        if preds.size:
-            f[preds] += f[node] * inv_in_degree[node]
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+
+    # peel sinks level by level: a node's height is the level its last
+    # successor left it at
+    height = np.zeros(n, dtype=np.int64)
+    remaining = graph.out_degree.copy()
+    frontier = np.flatnonzero(remaining == 0)
+    level = 0
+    while frontier.size:
+        height[frontier] = level
+        in_frontier = np.zeros(n, dtype=bool)
+        in_frontier[frontier] = True
+        hits = np.bincount(src[in_frontier[dst]], minlength=n)
+        remaining -= hits
+        frontier = np.flatnonzero((remaining == 0) & (hits > 0))
+        level += 1
+
+    rank = np.empty(n, dtype=np.int64)
+    rank[graph.topological_order()[::-1]] = np.arange(n)
+    order = np.lexsort((rank[dst], src, height[src]))
+    src, dst = src[order], dst[order]
+    bounds = np.searchsorted(height[src], np.arange(1, level + 1))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        succ = dst[a:b]
+        np.add.at(f, src[a:b], f[succ] * inv_in_degree[succ, None])
     return f
 
 

@@ -11,9 +11,11 @@ refuse structurally: every hooked op reports itself, ``Tensor._make`` counts
 every tensor produced, and a mismatch (an unhooked op) or a ``detach``
 taints the capture so the key permanently falls back to the tape.
 
-There is deliberately no inference compiler: rollouts, evaluation and the
-decision server all run the reference :class:`~repro.rl.agent.ReadysAgent`
-forward (DESIGN.md §10 explains why).
+The replay's forward half is :func:`repro.nn.array_forward.batch_forward`,
+the same tape-free function every rollout, evaluation and served decision
+runs; the replay hands it the plan's buffers and reads back the
+intermediates its backward needs.  There is deliberately no inference
+compiler (DESIGN.md §10 explains why).
 
 The engine is single-threaded by design — one engine per updater.
 """
@@ -27,14 +29,10 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.nn import tensor as tensor_mod
+from repro.nn.array_forward import batch_forward, csr_matmul_out, fusion_for
 from repro.nn.tensor import Tensor
 
 __all__ = ["TrainingCompiler", "TrainStats"]
-
-try:  # scipy's C kernel behind ``csr @ dense``, with a caller-owned output
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - exotic scipy builds
-    _sparsetools = None
 
 #: functional ops whose capture taint only says "I baked a data-dependent
 #: constant" — the fused kernels re-derive those constants per call (max
@@ -43,21 +41,6 @@ _DATA_CONSTANT_OPS = ("segment_log_softmax", "clipped_surrogate")
 
 #: live plans kept per engine; the least recently used one is evicted
 MAX_PLANS = 8
-
-
-def _csr_matmul_out(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[:] = csr @ x`` without allocating — bitwise equal to ``csr @ x``
-    (``csr_matvecs`` walks rows in the same order; it accumulates, so the
-    output is zeroed first)."""
-    if _sparsetools is None or not (x.flags.c_contiguous and out.flags.c_contiguous):
-        out[...] = csr @ x  # pragma: no cover - fallback for odd layouts
-        return out
-    out.fill(0.0)
-    m, n = csr.shape
-    _sparsetools.csr_matvecs(
-        m, n, x.shape[1], csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel()
-    )
-    return out
 
 
 def _transpose_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -182,8 +165,8 @@ class TrainingCompiler:
       checkpoint restores and optimizer writes need no invalidation;
     * **structural refusal** — grad-disabled/anomaly mode, a capture or a
       backward trace already running, batches of one (they route through the
-      single-observation forward), batches without a pass head, and
-      non-CSR adjacency all fall back to the reference implementation;
+      single-observation forward) and batches without a pass head all fall
+      back to the reference implementation;
     * **plan-owned buffers** — each plan keeps one working buffer per name
       and replaces it only when its shape changes, so the memory held is
       exactly that of the live plans (bounded by the plan LRU).
@@ -246,10 +229,8 @@ class TrainingCompiler:
         # passes in single traversals; None (no compiler, REPRO_NO_FUSION,
         # hidden wider than its stack accumulators) keeps the pure-NumPy
         # kernels.  Either backend faces the same capture-time validation.
-        from repro.nn import fusion
-
         hidden = self._convs[0].weight.data.shape[1] if self._convs else 0
-        self._fusion = fusion.load() if 0 < hidden <= fusion.MAX_WIDTH else None
+        self._fusion = fusion_for(hidden)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -286,7 +267,6 @@ class TrainingCompiler:
             or tensor_mod._BACKWARD_TRACE is not None
             or glue.batch < 2
             or glue.pass_idx.size == 0
-            or not sp.isspmatrix_csr(glue.adj)
         ):
             self.stats.fallbacks += 1
             return None
@@ -496,97 +476,25 @@ class TrainingCompiler:
         handle = tracer.begin("update/forward") if traced else None
 
         fu = self._fusion
-        feats = glue.feats
-        adj = glue.adj
-        gids = glue.graph_ids
         n = glue.batch
         n_f = float(n)
-        m = feats.shape[0]
-        hidden = self._convs[0].weight.data.shape[1]
+
+        # ---- forward: the tape-free forward, into plan-owned buffers ---- #
+        fwd = batch_forward(
+            [p.data for p in self.optimizer.params], glue, fu,
+            alloc=lambda name, shape, dtype=np.float64: self._buf(plan, name, shape, dtype),
+        )
+        feats = glue.feats
+        gids = glue.graph_ids
+        m, hidden = fwd.layers[-1].shape
         num_layers = len(self._convs)
-
-        # ---- forward: GCN stack (matmul → spmm → +bias → relu) ---- #
-        node_counts = np.bincount(gids, minlength=n)
-        node_starts = np.concatenate(([0], np.cumsum(node_counts[:-1])))
-        hw = self._buf(plan, "hw", (m, hidden))
-        h_prev: np.ndarray = feats
-        layer_out: List[np.ndarray] = []
-        layer_mask: List[np.ndarray] = []
-        for i, conv in enumerate(self._convs):
-            np.matmul(h_prev, conv.weight.data, out=hw)
-            h_i = self._buf(plan, f"h{i}", (m, hidden))
-            mask = self._buf(plan, f"mask{i}", (m, hidden), np.bool_)
-            if fu is not None:
-                fu.spmm_bias_relu(
-                    adj.indptr, adj.indices, adj.data, conv.bias.data,
-                    hw, h_i, mask,
-                )
-            else:
-                _csr_matmul_out(adj, hw, h_i)
-                np.add(h_i, conv.bias.data, out=h_i)
-                np.greater(h_i, 0.0, out=mask)
-                np.fmax(h_i, 0.0, out=h_i)  # in place; bit-equal to np.where
-            layer_out.append(h_i)
-            layer_mask.append(mask)
-            h_prev = h_i
-        h = h_prev
-
-        # ---- value head over the mean-pooled embedding ---- #
-        counts_col = node_counts.astype(np.float64).reshape(n, 1)
-        mp = self._buf(plan, "mp", (n, hidden))
-        if fu is not None:
-            # one segment-cached sweep of h computes the mean-pool sums, the
-            # max pool, the tie mask and the tie counts (pass head inputs);
-            # tie counts are sums of exact small integers, so any
-            # association yields the reduceat bits
-            pooled = self._buf(plan, "pooled", (n, hidden))
-            pmask = self._buf(plan, "pmask", (m, hidden), np.bool_)
-            pcounts = self._buf(plan, "pcounts", (n, hidden))
-            fu.pool_fwd(node_starts, h, mp, pooled, pmask, pcounts)
-        else:
-            np.add.reduceat(h, node_starts, axis=0, out=mp)
-        np.divide(mp, counts_col, out=mp)
-        vh = self._buf(plan, "vh", (n, 1))
-        np.matmul(mp, self._value.weight.data, out=vh)
-        np.add(vh, self._value.bias.data, out=vh)
-        values = vh.ravel()
-
-        # ---- task scores over the ready rows ---- #
+        values = fwd.values
+        mp, ready_h, ctx, logits = fwd.mean_pool, fwd.ready_h, fwd.ctx, fwd.logits
+        pmask, pcounts = fwd.tie_mask, fwd.tie_counts
         r = glue.ready_rows.size
-        ready_h = self._buf(plan, "ready_h", (r, hidden))
-        np.take(h, glue.ready_rows, axis=0, out=ready_h)
-        task_s = self._buf(plan, "task_s", (r, 1))
-        np.matmul(ready_h, self._task.weight.data, out=task_s)
-        np.add(task_s, self._task.bias.data, out=task_s)
-
-        # ---- pass scores over max-pool ‖ processor features ---- #
         p_count = glue.pass_idx.size
         s_total = int(glue.action_offsets[-1])
         proc_dim = glue.proc_stack.shape[1]
-        if fu is None:
-            pooled = self._buf(plan, "pooled", (n, hidden))
-            pmask = self._buf(plan, "pmask", (m, hidden), np.bool_)
-            pcounts = self._buf(plan, "pcounts", (n, hidden))
-            np.maximum.reduceat(h, node_starts, axis=0, out=pooled)
-            gather_a = self._buf(plan, "gather_a", (m, hidden))
-            np.take(pooled, gids, axis=0, out=gather_a)
-            np.equal(h, gather_a, out=pmask)
-            gather_b = self._buf(plan, "gather_b", (m, hidden))
-            np.copyto(gather_b, pmask, casting="unsafe")
-            np.add.reduceat(gather_b, node_starts, axis=0, out=pcounts)
-        ctx = self._buf(plan, "ctx", (p_count, hidden + proc_dim))
-        ctx[:, :hidden] = pooled[glue.pass_idx]
-        ctx[:, hidden:] = glue.proc_stack
-        pass_s = self._buf(plan, "pass_s", (p_count, 1))
-        np.matmul(ctx, self._pass.weight.data, out=pass_s)
-        np.add(pass_s, self._pass.bias.data, out=pass_s)
-
-        # ---- logits: concat(task, pass) then batch-order permutation ---- #
-        comb = self._buf(plan, "comb", (s_total,))
-        comb[:r] = task_s.ravel()
-        comb[r:] = pass_s.ravel()
-        logits = self._buf(plan, "logits", (s_total,))
-        np.take(comb, glue.perm, out=logits)
 
         # ---- segment log-softmax over the per-graph action segments ---- #
         segs = np.repeat(np.arange(n), glue.num_actions)
@@ -678,7 +586,7 @@ class TrainingCompiler:
         np.sum(gvb, axis=0, out=views[self._ibv])
         gmp = self._buf(plan, "gmp", (n, hidden))
         np.matmul(gvb, self._value.weight.data.T, out=gmp)
-        np.divide(gmp, counts_col, out=gmp)
+        np.divide(gmp, fwd.counts, out=gmp)
         gh = self._buf(plan, "gh", (m, hidden))
         if fu is None:
             np.take(gmp, gids, axis=0, out=gh)  # h contribution (1): mean pool
@@ -754,19 +662,19 @@ class TrainingCompiler:
 
         # GCN stack backward, deepest layer first; the input-feature gradient
         # the tape computes and discards is simply never formed
-        adj_t = _transpose_csr(adj)
+        adj_t = _transpose_csr(glue.adj)
         ga = self._buf(plan, "ga", (m, hidden))
         ghw = self._buf(plan, "ghw", (m, hidden))
         gcur = gh
         for i in range(num_layers - 1, -1, -1):
             if fu is not None:
-                fu.relu_bwd(gcur, layer_mask[i], ga, views[2 * i + 1])
+                fu.relu_bwd(gcur, fwd.masks[i], ga, views[2 * i + 1])
                 fu.spmm(adj_t.indptr, adj_t.indices, adj_t.data, ga, ghw)
             else:
-                np.multiply(gcur, layer_mask[i], out=ga)  # relu backward
+                np.multiply(gcur, fwd.masks[i], out=ga)  # relu backward
                 np.sum(ga, axis=0, out=views[2 * i + 1])
-                _csr_matmul_out(adj_t, ga, ghw)
-            h_in = feats if i == 0 else layer_out[i - 1]
+                csr_matmul_out(adj_t.indptr, adj_t.indices, adj_t.data, ga, ghw)
+            h_in = feats if i == 0 else fwd.layers[i - 1]
             np.matmul(h_in.T, ghw, out=views[2 * i])
             if i > 0:
                 np.matmul(ghw, self._convs[i].weight.data.T, out=gh)

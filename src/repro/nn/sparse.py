@@ -51,8 +51,9 @@ def csr_parts(b: AdjacencyLike) -> tuple:
     )
 
 
-def block_diag_csr(parts: Sequence[tuple]) -> sp.csr_matrix:
-    """CSR block-diagonal matrix from per-block :func:`csr_parts` tuples.
+def block_diag_parts(parts: Sequence[tuple]) -> tuple:
+    """``(data, int32 cols, int32 indptr)`` of the block-diagonal CSR matrix
+    of per-block :func:`csr_parts` tuples.
 
     Block rows stay contiguous, so the result is a concatenation of the
     per-block (data, shifted cols, row counts).  scipy's generic
@@ -71,10 +72,14 @@ def block_diag_csr(parts: Sequence[tuple]) -> sp.csr_matrix:
     counts = np.concatenate([p[2] for p in parts])
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    total = int(sizes.sum())
-    return sp.csr_matrix(
-        (np.concatenate([p[0] for p in parts]), cols, indptr), shape=(total, total)
-    )
+    return np.concatenate([p[0] for p in parts]), cols, indptr
+
+
+def block_diag_csr(parts: Sequence[tuple]) -> sp.csr_matrix:
+    """CSR block-diagonal matrix from per-block :func:`csr_parts` tuples."""
+    data, cols, indptr = block_diag_parts(parts)
+    total = indptr.size - 1
+    return sp.csr_matrix((data, cols, indptr), shape=(total, total))
 
 
 def block_diag_adjacency_sparse(blocks: Sequence[AdjacencyLike]) -> sp.csr_matrix:

@@ -159,6 +159,9 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
                 ),
                 shape=(m, n),
             )
+            # the forward's spmm kernels index rows by these arrays
+            # unchecked: a column or row pointer out of range raises here
+            norm_adj.check_format(full_check=True)
             for arr in (norm_adj.data, norm_adj.indices, norm_adj.indptr):
                 arr.setflags(write=False)
         else:
@@ -179,6 +182,12 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
         raise CodecError(f"malformed observation payload: {exc}") from None
     if features.ndim != 2:
         raise CodecError("features must be a 2-D array")
+    m = features.shape[0]
+    if norm_adj.shape != (m, m):
+        # the forward's spmm kernels size their row loop from the features
+        raise CodecError(
+            f"adjacency shape {norm_adj.shape} does not match the {m} feature rows"
+        )
     if obs.ready_positions.size == 0:
         raise CodecError("observation has no ready task — not a decision point")
     if obs.ready_positions.size != obs.ready_tasks.size:

@@ -15,25 +15,36 @@ Architecture, bottom to top:
 The number of GCN layers defaults to ``max(window, 1)`` — the paper finds
 ``g = w`` layers suffice for window information to reach the ready tasks.
 
-The policy helpers (:meth:`action_distribution`, :meth:`sample_action`,
-:meth:`greedy_action`, :meth:`state_value` and their batched variants) run the
-reference forward under ``no_grad``; the only compiled path is the training
-step (:class:`~repro.nn.compile.TrainingCompiler`), which reuses
-:meth:`ReadysAgent._forward_batch_tensors` as its reference loss graph.
+Two forwards run the same network.  :meth:`ReadysAgent.forward` and
+:meth:`ReadysAgent._forward_batch_tensors` build it on the autograd tape:
+grad mode, the training losses and the reference every other path is
+checked against.  The policy helpers (:meth:`action_distribution`,
+:meth:`sample_action`, :meth:`greedy_action`, :meth:`state_value` and their
+batched variants) run :mod:`repro.nn.array_forward` instead — the tape's
+exact op sequence on the parameter arrays, with no ``Tensor`` and no
+backward closure, bitwise equal to the tape.  A batch of one takes the
+single-observation mirror of :meth:`forward`, so it is bit-identical to the
+unbatched helper.  The compiled training step
+(:class:`~repro.nn.compile.TrainingCompiler`) runs the same batched function
+as its replay's forward half and :meth:`_forward_batch_tensors` as its
+reference loss graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro import obs as _obs
 from repro.nn import functional as F
+from repro.nn.array_forward import batch_forward, single_forward
 from repro.nn.layers import GCNStack, Linear, Module
-from repro.nn.sparse import block_diag_csr, csr_parts
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.sparse import block_diag_parts, csr_parts
+from repro.nn.tensor import Tensor
 from repro.sim.state import BatchObservation, Observation, ObservationBatch
 from repro.utils.seeding import SeedLike, as_generator
 
@@ -79,6 +90,37 @@ def segment_argmax(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return hits[np.searchsorted(hits, starts)] - starts
 
 
+def segment_choice(
+    p: np.ndarray, offsets: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``rng.choice(n, p=s)`` for every segment ``s = p[offsets[i]:offsets[i+1]]``,
+    in order, bitwise — from one ``rng.random(K)`` draw.
+
+    ``Generator.choice`` draws one uniform ``u`` per call (a length-1
+    segment too) and answers ``cdf.searchsorted(u, side="right")`` for
+    ``cdf = s.cumsum(); cdf /= cdf[-1]``.  Here the segments sit as
+    zero-padded rows of one matrix: a row-wise cumsum adds in each
+    segment's own order, the padding repeats the row's last entry (so it
+    divides to exactly 1.0 > u), and a right-side searchsorted on a sorted
+    row is its count of entries ≤ u.  ``choice``'s input check is kept.
+    """
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(np.add.reduceat(p, starts) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    k = counts.size
+    cdf = np.zeros((k, int(counts.max())))
+    cdf[np.repeat(np.arange(k), counts), np.arange(p.size) - np.repeat(starts, counts)] = p
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[np.arange(k), counts - 1][:, None]
+    u = rng.random(k)
+    return np.count_nonzero(cdf <= u[:, None], axis=1).astype(np.int64)
+
+
 @dataclass
 class BatchedForward:
     """Flat result of one batched forward over B observations.
@@ -110,18 +152,24 @@ class BatchedForward:
 class _BatchGlue:
     """Pure-NumPy assembly of a batched forward (no tensor ops).
 
-    Shared between the reference :meth:`ReadysAgent.forward_batch_flat` and
-    the compiled training step so both feed *the same arrays* into the
-    network.  Built from an :class:`~repro.sim.state.ObservationBatch` it
-    reuses the batch's arrays as they are; built from a list of
-    observations it concatenates their parts.
+    Shared between the tape-free forward
+    (:func:`repro.nn.array_forward.batch_forward`), the reference
+    :meth:`ReadysAgent.forward_batch_flat` and the compiled training step,
+    so all three feed *the same arrays* into the network.  Built from an
+    :class:`~repro.sim.state.ObservationBatch` it reuses the batch's arrays
+    as they are; built from a list of observations it concatenates their
+    parts.  The adjacency is the block-diagonal CSR's raw parts; the
+    ``csr_matrix`` the tape needs is only built on first use of :attr:`adj`.
     """
 
     batch: int
     sizes: List[int]
     feats: np.ndarray
     graph_ids: np.ndarray
-    adj: Any
+    node_offsets: np.ndarray
+    adj_data: np.ndarray
+    adj_indices: np.ndarray
+    adj_indptr: np.ndarray
     num_ready: np.ndarray
     ready_rows: np.ndarray
     pass_idx: np.ndarray
@@ -129,6 +177,15 @@ class _BatchGlue:
     num_actions: np.ndarray
     action_offsets: np.ndarray
     perm: np.ndarray
+
+    @cached_property
+    def adj(self) -> sp.csr_matrix:
+        """The block-diagonal adjacency as a ``csr_matrix`` (the tape's
+        operand; the training replay caches its transpose on it)."""
+        n = self.feats.shape[0]
+        return sp.csr_matrix(
+            (self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n)
+        )
 
 
 def _action_layout(
@@ -163,7 +220,10 @@ def _glue_of_batch(batch: ObservationBatch) -> _BatchGlue:
         sizes=batch.sizes,
         feats=batch.feats,
         graph_ids=batch.graph_ids,
-        adj=batch.adj,
+        node_offsets=batch.node_offsets,
+        adj_data=batch.adj_data,
+        adj_indices=batch.adj_indices,
+        adj_indptr=batch.adj_indptr,
         num_ready=num_ready,
         ready_rows=batch.ready_rows,
         pass_idx=pass_idx,
@@ -227,11 +287,17 @@ class ReadysAgent(Module):
         graph_ids = np.repeat(np.arange(batch), sizes)
         # CSR block-diagonal regardless of member format: one sparse matmul
         # costs O(Σ nnz · h) while the dense form grows O((Σm)²).
-        adj = block_diag_csr([
+        parts = [
             o.adjacency_parts() if isinstance(o, BatchObservation)
             else csr_parts(o.norm_adj)
             for o in obs_list
-        ])
+        ]
+        for o, part in zip(obs_list, parts):
+            if part[3] != o.num_nodes:
+                raise ValueError(
+                    f"feature rows {o.num_nodes} != adjacency size {part[3]}"
+                )
+        adj_data, adj_indices, adj_indptr = block_diag_parts(parts)
 
         num_ready = np.array([len(o.ready_positions) for o in obs_list])
         node_offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -253,7 +319,10 @@ class ReadysAgent(Module):
             sizes=sizes,
             feats=feats,
             graph_ids=graph_ids,
-            adj=adj,
+            node_offsets=node_offsets,
+            adj_data=adj_data,
+            adj_indices=adj_indices,
+            adj_indptr=adj_indptr,
             num_ready=num_ready,
             ready_rows=ready_rows,
             pass_idx=pass_idx,
@@ -330,8 +399,37 @@ class ReadysAgent(Module):
         return logits_list, bf.values
 
     # ------------------------------------------------------------------ #
-    # policy helpers
+    # policy helpers (tape-free; see repro.nn.array_forward)
     # ------------------------------------------------------------------ #
+
+    def _weights(self) -> List[np.ndarray]:
+        """The live parameter arrays, in :meth:`parameters` order."""
+        return [p.data for p in self.parameters()]
+
+    def _forward_arrays(self, obs: Observation) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` without the tape: ``(logits, value)`` arrays,
+        bitwise equal to its tensors' data."""
+        if len(obs.ready_positions) == 0:
+            raise ValueError("observation has no ready task — not a decision point")
+        return single_forward(
+            self._weights(),
+            obs.features,
+            obs.norm_adj,
+            obs.ready_positions,
+            obs.proc_features if obs.allow_pass else None,
+        )
+
+    def _batch_arrays(
+        self, obs_list: Sequence[Observation]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batched forward without the tape: flat logits, (B,) values
+        and the (B+1,) action offsets — bitwise equal to
+        :meth:`_forward_glue`'s tensors."""
+        if len(obs_list) == 0:
+            raise ValueError("forward_batch needs at least one observation")
+        glue = self._batch_glue(obs_list)
+        fwd = batch_forward(self._weights(), glue, None)
+        return fwd.logits, fwd.values, glue.action_offsets
 
     def action_distribution(self, obs: Observation) -> np.ndarray:
         """π(a|s) as a plain probability vector (no grad)."""
@@ -341,9 +439,11 @@ class ReadysAgent(Module):
             if tracer.enabled
             else None
         )
-        with no_grad():
-            logits, _ = self.forward(obs)
-            probs = F.softmax(logits).data
+        logits, _ = self._forward_arrays(obs)
+        # F.softmax's op sequence: exp(x - logsumexp(x)), max-shifted
+        shift = logits.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(logits - shift).sum(axis=-1, keepdims=True)) + shift
+        probs = np.exp(logits - lse)
         if handle is not None:
             tracer.end(handle)
         return probs
@@ -361,55 +461,56 @@ class ReadysAgent(Module):
             if tracer.enabled
             else None
         )
-        with no_grad():
-            logits, _ = self.forward(obs)
-            action = int(np.argmax(logits.data))
+        logits, _ = self._forward_arrays(obs)
+        action = int(np.argmax(logits))
         if handle is not None:
             tracer.end(handle)
         return action
 
     def state_value(self, obs: Observation) -> float:
         """V(s) as a float (no grad) — the bootstrap target for unrolls."""
-        with no_grad():
-            _, value = self.forward(obs)
-            return float(value.data[0])
+        return float(self._forward_arrays(obs)[1][0])
 
     # ------------------------------------------------------------------ #
     # batched policy helpers (one network pass for K environments)
     # ------------------------------------------------------------------ #
 
-    def action_distributions(self, obs_list: Sequence[Observation]) -> List[np.ndarray]:
-        """π(a|s) for every observation via one batched pass (no grad)."""
+    def _distributions_flat(
+        self, obs_list: Sequence[Observation]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """π(a|s) of every observation, flat, with the (B+1,) action offsets."""
         if len(obs_list) == 1:
             # single-observation route — bit-identical to action_distribution
-            return [self.action_distribution(obs_list[0])]
+            probs = self.action_distribution(obs_list[0])
+            return probs, np.array([0, probs.size])
         tracer = _obs.TRACER
         handle = (
             tracer.begin("forward", batch=len(obs_list))
             if tracer.enabled
             else None
         )
-        with no_grad():
-            bf = self.forward_batch_flat(obs_list)
-            flat, off = bf.logits.data, bf.action_offsets
-            # all B softmaxes in three segment ops over the flat logits
-            starts = off[:-1]
-            counts = np.diff(off)
-            p = np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), counts))
-            p /= np.repeat(np.add.reduceat(p, starts), counts)
-            result = np.split(p, off[1:-1])
+        flat, _, off = self._batch_arrays(obs_list)
+        # all B softmaxes in three segment ops over the flat logits
+        starts = off[:-1]
+        counts = np.diff(off)
+        p = np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), counts))
+        p /= np.repeat(np.add.reduceat(p, starts), counts)
         if handle is not None:
             tracer.end(handle)
-        return result
+        return p, off
+
+    def action_distributions(self, obs_list: Sequence[Observation]) -> List[np.ndarray]:
+        """π(a|s) for every observation via one batched pass (no grad)."""
+        p, off = self._distributions_flat(obs_list)
+        return np.split(p, off[1:-1])
 
     def sample_actions(
         self, obs_list: Sequence[Observation], rng: np.random.Generator
     ) -> np.ndarray:
-        """Draw one action per observation; one rng draw per env, in order."""
-        probs = self.action_distributions(obs_list)
-        return np.array(
-            [int(rng.choice(len(p), p=p)) for p in probs], dtype=np.int64
-        )
+        """Draw one action per observation; one rng draw per env, in order
+        (bitwise what per-observation :meth:`sample_action` calls draw)."""
+        p, off = self._distributions_flat(obs_list)
+        return segment_choice(p, off, rng)
 
     def greedy_actions(self, obs_list: Sequence[Observation]) -> np.ndarray:
         """Batched :meth:`greedy_action` — deterministic evaluation at scale.
@@ -427,9 +528,8 @@ class ReadysAgent(Module):
             if tracer.enabled
             else None
         )
-        with no_grad():
-            bf = self.forward_batch_flat(obs_list)
-            actions = segment_argmax(bf.logits.data, bf.action_offsets)
+        logits, _, off = self._batch_arrays(obs_list)
+        actions = segment_argmax(logits, off)
         if handle is not None:
             tracer.end(handle)
         return actions
@@ -438,5 +538,4 @@ class ReadysAgent(Module):
         """Batched :meth:`state_value` — bootstrap targets for K unrolls."""
         if len(obs_list) == 1:
             return np.array([self.state_value(obs_list[0])])
-        with no_grad():
-            return self.forward_batch_flat(obs_list).values.data.copy()
+        return self._batch_arrays(obs_list)[1]

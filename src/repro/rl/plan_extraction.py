@@ -72,12 +72,17 @@ def adaptivity_gap(
     """Quantify how much of the agent's performance is runtime adaptivity.
 
     Returns mean makespans of (a) the live agent under the env's noise and
-    (b) its frozen plan replayed under the same noise, plus their ratio
-    (>1 ⇒ adapting at runtime beats replaying the own plan).
+    (b) its frozen plan replayed under that noise model, plus their ratio
+    (>1 ⇒ adapting at runtime beats replaying the own plan).  Each seed
+    pairs one live episode with one replay: both draw from their own copy
+    of the seed's generator, starting from the same state, so the replay's
+    noise does not depend on how many draws the live episode took.  (The
+    two runs start tasks in different orders, so a draw need not land on
+    the same task in both.)
     """
     from repro.rl.trainer import evaluate_agent
     from repro.schedulers.static_executor import run_static
-    from repro.utils.seeding import spawn_generators
+    from repro.utils.seeding import generator_state, restore_generator, spawn_generators
 
     plan = extract_static_schedule(agent, env)
     graph = env._sample_graph()
@@ -85,13 +90,14 @@ def adaptivity_gap(
     live: List[float] = []
     frozen: List[float] = []
     for rng in spawn_generators(seed, seeds):
+        replay_rng = restore_generator(generator_state(rng))
         live_env = SchedulingEnv(
             graph, env.platform, env.durations, env.noise,
             window=env.window, rng=rng,
         )
         live.extend(evaluate_agent(agent, live_env, episodes=1, rng=rng))
-        sim = Simulation(graph, env.platform, env.durations, env.noise, rng=rng)
-        frozen.append(run_static(sim, plan, rng=rng))
+        sim = Simulation(graph, env.platform, env.durations, env.noise, rng=replay_rng)
+        frozen.append(run_static(sim, plan, rng=replay_rng))
     return {
         "live_mean": float(np.mean(live)),
         "frozen_mean": float(np.mean(frozen)),

@@ -262,16 +262,6 @@ class ObservationBatch(Sequence):
         """(K,) whether member k's ``norm_adj`` view is CSR (else dense)"""
         self.extra_node_features = extra_node_features
 
-    @_lazy
-    def adj(self):
-        """The block-diagonal normalised adjacency as a ``csr_matrix``."""
-        from scipy import sparse as sp
-
-        n = self.feats.shape[0]
-        return sp.csr_matrix(
-            (self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n)
-        )
-
     def __len__(self) -> int:
         return len(self.current_procs)
 

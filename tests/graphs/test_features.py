@@ -15,10 +15,68 @@ from repro.graphs.features import (
 )
 from repro.graphs.random_dag import erdos_dag, layered_dag
 from repro.graphs.taskgraph import TaskGraph
+from repro.graphs.workloads import make_mixed_families
+from repro.sim.streaming import disjoint_union
 
 
 def diamond() -> TaskGraph:
     return TaskGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [0, 1, 1, 0], ("A", "B"))
+
+
+def reference_descendant_weights(graph: TaskGraph) -> np.ndarray:
+    """The node-by-node reverse-topological sweep: each node, once final,
+    pushes its weight split by in-degree onto its predecessors."""
+    n, k = graph.num_tasks, graph.num_types
+    f = np.zeros((n, k), dtype=np.float64)
+    f[np.arange(n), graph.task_types] = 1.0
+    inv_in_degree = np.zeros(n, dtype=np.float64)
+    nonzero = graph.in_degree > 0
+    inv_in_degree[nonzero] = 1.0 / graph.in_degree[nonzero]
+    for node in graph.topological_order()[::-1]:
+        preds = graph.predecessors(node)
+        if preds.size:
+            f[preds] += f[node] * inv_in_degree[node]
+    return f
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def dags(draw):
+    """A DAG on shuffled labels (so the topological order is not the
+    identity) with random kernel types."""
+    n = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 8))]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    num_types = draw(st.integers(1, 4))
+    types = draw(st.lists(st.integers(0, num_types - 1), min_size=n, max_size=n))
+    edges = [(labels[i], labels[j]) for i, j in chosen]
+    return TaskGraph(n, edges, types, tuple("ABCD"[:num_types]))
+
+
+class TestDescendantWeightsMatchesTheSweep:
+    @given(dags())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_on_random_dags(self, graph):
+        assert_bitwise(descendant_weights(graph), reference_descendant_weights(graph))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_on_mixed_families_union_graphs(self, seed):
+        workload = make_mixed_families(("cholesky", "lu", "qr", "random"))
+        rng = np.random.default_rng(seed)
+        graph, _job_of, _offsets = disjoint_union(
+            [workload.sample(rng) for _ in range(8)]
+        )
+        assert_bitwise(descendant_weights(graph), reference_descendant_weights(graph))
+
+    def test_bitwise_on_factorizations(self):
+        for tiles in (1, 2, 6, 9):
+            graph = cholesky_dag(tiles)
+            assert_bitwise(descendant_weights(graph), reference_descendant_weights(graph))
 
 
 class TestDescendantWeights:

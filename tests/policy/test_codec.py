@@ -122,6 +122,33 @@ class TestObservationRejection:
         with pytest.raises(CodecError, match="coo"):
             decode_observation(payload)
 
+    @pytest.mark.parametrize("part, value", [
+        ("indices", [0, 1, 7, 2]),
+        ("indices", [0, -1, 1, 2]),
+        ("indptr", [0, 3, 1, 4]),
+    ])
+    def test_csr_adjacency_out_of_range(self, part, value):
+        payload = encode_observation(make_obs(sparse=True))
+        payload["adj"][part] = value
+        with pytest.raises(CodecError, match="malformed"):
+            decode_observation(payload)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_adjacency_must_match_the_feature_rows(self, sparse, delta):
+        """A square adjacency one row short or long would send the
+        forward's spmm kernels past the end of their buffers."""
+        obs = make_obs(sparse=sparse)
+        m = obs.features.shape[0] + delta
+        adj = np.zeros((m, m))
+        k = min(m, 3)
+        adj[:k, :k] = make_obs().norm_adj[:k, :k]
+        if sparse:
+            adj = pytest.importorskip("scipy.sparse").csr_matrix(adj)
+        obs.norm_adj = adj
+        with pytest.raises(CodecError, match="feature rows"):
+            decode_observation(encode_observation(obs))
+
     def test_empty_ready_set_is_not_a_decision_point(self):
         payload = encode_observation(make_obs())
         payload["ready_positions"] = []

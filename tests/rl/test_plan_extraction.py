@@ -12,6 +12,7 @@ from repro.rl.trainer import default_agent
 from repro.schedulers.static_executor import run_static
 from repro.sim.engine import Simulation
 from repro.sim.env import SchedulingEnv
+from repro.utils.seeding import spawn_generators
 
 
 def make_env(tiles=4, sigma=0.0, rng=0):
@@ -79,3 +80,17 @@ class TestAdaptivityGap:
         agent = default_agent(env, rng=0)
         result = adaptivity_gap(agent, env, seeds=2, seed=0)
         assert result["frozen_mean"] <= result["plan_makespan"] + 1e-9
+
+    def test_replay_noise_does_not_depend_on_the_live_episode(self):
+        """Each seed's replay draws from its own copy of the seed's
+        generator: its makespan is that of a replay from a fresh copy,
+        whatever the live episode drew before it."""
+        env = make_env(tiles=3, sigma=0.4)
+        agent = default_agent(env, rng=0)
+        result = adaptivity_gap(agent, env, seeds=1, seed=1)
+        plan = extract_static_schedule(agent, env)
+        (rng,) = spawn_generators(1, 1)
+        sim = Simulation(
+            cholesky_dag(3), env.platform, CHOLESKY_DURATIONS, env.noise, rng=rng
+        )
+        assert result["frozen_mean"] == run_static(sim, plan, rng=rng)

@@ -440,6 +440,36 @@ class TestQueueSemantics:
         assert server.counters["decisions_total"] == 1
         assert server.counters["error_total"] == 1
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_adjacency_size_mismatch_fails_only_the_bad_request(self, delta):
+        """A served window whose adjacency is a row short or long is refused
+        at decode; the rest of its batch decides as usual."""
+        from repro.rl.trainer import default_agent
+
+        env = make_env()
+        obs = env.reset(seed=0).obs
+        policy = AgentPolicy(default_agent(env, hidden_dim=16, rng=0))
+
+        async def scenario(server, writer):
+            server._sessions["s1"].policy = policy
+            bad = self.decide_frame(obs, seq=2)
+            rows = bad["obs"]["adj"]["data"]
+            m = len(rows) + delta
+            bad["obs"]["adj"]["data"] = [
+                (row + [0.0] * m)[:m] for row in (rows + [[]] * m)[:m]
+            ]
+            for frame in (self.decide_frame(obs, seq=1), bad, self.decide_frame(obs, seq=3)):
+                server._handle_decide(frame, writer)
+            server._flush([server._queue.popleft() for _ in range(len(server._queue))])
+
+        server, writer = self.drill(scenario)
+        by_seq = {r["seq"]: r for r in writer.replies()}
+        assert by_seq[2]["status"] == "error"
+        assert "feature rows" in by_seq[2]["detail"]
+        assert by_seq[1]["status"] == by_seq[3]["status"] == "ok"
+        assert by_seq[1]["action"] == by_seq[3]["action"] == policy.decide(obs)
+        assert server.counters["decisions_total"] == 2
+
 
 class TestFlushPolicy:
     """Drain-then-flush: how many requests a flush answers, and why it went."""

@@ -199,7 +199,10 @@ def reference_glue(obs_list) -> _BatchGlue:
         sizes=sizes,
         feats=feats,
         graph_ids=graph_ids,
-        adj=adj,
+        node_offsets=node_offsets,
+        adj_data=adj.data,
+        adj_indices=adj.indices,
+        adj_indptr=adj.indptr,
         num_ready=num_ready,
         ready_rows=ready_rows,
         pass_idx=pass_idx,
@@ -215,7 +218,7 @@ def reference_glue(obs_list) -> _BatchGlue:
 # --------------------------------------------------------------------- #
 
 GLUE_ARRAYS = (
-    "feats", "graph_ids", "num_ready", "ready_rows", "pass_idx", "proc_stack",
+    "feats", "graph_ids", "node_offsets", "num_ready", "ready_rows", "pass_idx", "proc_stack",
     "num_actions", "action_offsets", "perm",
 )
 
