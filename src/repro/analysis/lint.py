@@ -37,11 +37,11 @@ from repro.analysis.rules_project import (
 from repro.analysis.suppress import Suppressions, parse_suppressions
 
 #: names of repro.nn.compile that are re-exported from repro.nn (public API)
-_COMPILE_PUBLIC = {"TrainingCompiler", "TrainStats"}
+_COMPILE_PUBLIC = {"TrainingCompiler"}
 
 #: engine-internal nn submodules fenced by RPR008 alongside repro.nn.compile;
 #: the C fusion core has no public surface at all — its kernels are only
-#: sound behind the training compiler's capture-time validation
+#: sound behind the loader's known-answer check and the differential suite
 _ENGINE_INTERNAL_MODULES = ("repro.nn.fusion",)
 
 #: path fragments allowed to reach into repro.nn.compile directly
@@ -155,8 +155,8 @@ class _Checker(ast.NodeVisitor):
                     node,
                     "RPR008",
                     f"import of '{alias.name}' outside nn/, tests or "
-                    f"benchmarks; use the repro.nn re-exports "
-                    f"(TrainingCompiler, TrainStats)",
+                    "benchmarks; use the repro.nn re-export "
+                    "(TrainingCompiler)",
                 )
         self.generic_visit(node)
 
@@ -179,7 +179,7 @@ class _Checker(ast.NodeVisitor):
                     "RPR008",
                     f"import of engine internal "
                     f"'{module}.{alias.name}' outside nn/, tests or "
-                    f"benchmarks; the capture/replay plan types are "
+                    f"benchmarks; the training step's internals are "
                     f"private — use the repro.nn public API",
                 )
         elif any(
@@ -192,8 +192,8 @@ class _Checker(ast.NodeVisitor):
                     "RPR008",
                     f"import of engine internal '{module}.{alias.name}' "
                     f"outside nn/, tests or benchmarks; the C fusion core "
-                    f"is only sound behind the training compiler's "
-                    f"capture-time validation — use the repro.nn public API",
+                    f"is only sound behind its load-time known-answer "
+                    f"check — use the repro.nn public API",
                 )
         elif module == "repro.nn":
             for alias in node.names:

@@ -117,11 +117,13 @@ RULES: Dict[str, Rule] = dict(
             "repro.nn.compile / repro.nn.fusion internals may only be "
             "imported from nn/, tests or benchmarks — use the repro.nn "
             "re-exports",
-            rationale="The training compiler's capture and plan types are "
-            "private, and the C fusion core's kernels are only sound behind "
-            "its capture-time validation; consumers use the public "
-            "`repro.nn` re-exports (`TrainingCompiler`, `TrainStats`) so the "
-            "engine can evolve freely. "
+            rationale="The array training step and its kernels are private: "
+            "the C fusion core is only sound behind `fusion.load()`'s "
+            "load-time known-answer check and the array step behind the "
+            "differential test against the tape "
+            "(`tests/rl/test_array_step.py`); consumers use the public "
+            "`repro.nn` re-export (`TrainingCompiler`) so the step can evolve "
+            "freely. "
             "Generalized by RPR100's whole-project layer contract.",
         ),
         _rule(

@@ -132,18 +132,12 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _print_train_compile_stats(trainer) -> None:
-    """One status line of training-compiler counters (plans, validation)."""
+    """One status line of training-step counters (array steps, fallbacks)."""
     stats = trainer.updater.train_compile_stats()
     print(
-        "compiled-train: {captures} captures / {replays} replays "
-        "(hit rate {rate:.3f}), fallbacks {fallbacks}, "
-        "validation failures {validation_failures}, "
-        "arena {arena_kib:.1f} KiB".format(
-            rate=stats["hit_rate"],
-            arena_kib=stats["arena_bytes"] / 1024.0,
-            **{k: stats[k] for k in
-               ("captures", "replays", "fallbacks", "validation_failures")},
-        )
+        f"compiled-train: {stats['array_steps']} array steps, "
+        f"{stats['fallbacks']} tape fallbacks, "
+        f"arena {stats['arena_bytes'] / 1024.0:.1f} KiB"
     )
 
 

@@ -38,7 +38,7 @@ from repro.nn.sparse import (
     edges_to_sparse_adjacency,
     block_diag_adjacency_sparse,
 )
-from repro.nn.compile import TrainingCompiler, TrainStats
+from repro.nn.compile import TrainingCompiler
 from repro.nn import init
 
 __all__ = [
@@ -72,6 +72,5 @@ __all__ = [
     "edges_to_sparse_adjacency",
     "block_diag_adjacency_sparse",
     "TrainingCompiler",
-    "TrainStats",
     "init",
 ]

@@ -1,21 +1,21 @@
 """Tape-free forward of the READYS network over plain parameter arrays.
 
 Every no-grad decision — rollouts, evaluation, the decision server — and the
-forward half of the compiled training replay run this one function.  It
+forward half of the array training step run this one function.  It
 performs the autograd forward's exact op sequence (``h @ W``, CSR spmm,
 ``+ b``, ReLU, ``reduceat`` mean/max pools, the three heads and the ``perm``
 gather) on raw arrays, so it makes no ``Tensor`` and no backward closure and
 its logits and values equal the tape's bit for bit.  When the C fusion core
 (:mod:`repro.nn.fusion`) is loaded, ``spmm_bias_relu`` and ``pool_fwd``
 stream the memory-bound passes; they reproduce the NumPy sequence bitwise.
-Only the training replay passes the core: at decision-sized windows its
+Only the training step passes the core: at decision-sized windows its
 per-call ctypes overhead and scalar epilogue made it slower than the NumPy
 kernels, so inference calls ``batch_forward(..., fu=None)``.
 
 It is not a compiler: nothing is captured, cached or validated, and it holds
-no buffers between calls.  Inference gets fresh arrays; the training replay
-passes its plan-buffer allocator and reads back the intermediates its
-backward needs (:class:`ForwardArrays`).
+no buffers between calls.  Inference gets fresh arrays; the training step
+passes its allocator and reads back the intermediates its backward needs
+(:class:`ForwardArrays`).
 
 ``weights`` is the agent's parameter arrays in ``agent.parameters()`` order:
 ``W, b`` of every GCN layer, then the task, pass and value heads.
@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - exotic scipy builds
 __all__ = ["ForwardArrays", "batch_forward", "csr_matmul_out", "fusion_for", "single_forward"]
 
 #: ``alloc(name, shape, dtype)`` → an array of that shape; the training
-#: replay hands in its plan-owned buffers, inference gets ``np.empty``
+#: step hands in its owned buffers, inference gets ``np.empty``
 Allocator = Callable[..., np.ndarray]
 
 
@@ -145,7 +145,7 @@ def batch_forward(
     """The batched forward over ``glue`` (``repro.rl.agent._BatchGlue``).
 
     Mirrors ``ReadysAgent._forward_batch_tensors`` op for op.  With
-    ``alloc`` (the training replay) every array comes from it and the NumPy
+    ``alloc`` (the training step) every array comes from it and the NumPy
     path also forms the ReLU masks and max-pool tie statistics the backward
     reads; the fused kernels form them either way.
     """

@@ -12,22 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import tensor as _tensor_state
 from repro.nn.tensor import Tensor
-
-
-def _taint_capture(op: str) -> None:
-    """Taint a training-step capture for ops that bake data-dependent constants.
-
-    Several functional ops lift *values computed from tensor payloads* into
-    detached leaves (e.g. the max shift of :func:`logsumexp`).  A replay that
-    froze those values would be silently wrong, so the capture is tainted;
-    :mod:`repro.nn.compile` refuses it unless its fused kernels re-derive the
-    constants per call.
-    """
-    cap = _tensor_state._CAPTURE
-    if cap is not None:
-        cap.taint(f"{op} bakes data-dependent constants")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -51,7 +36,6 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     The max-shift uses a detached maximum, so gradients flow exactly as for
     the unshifted expression.
     """
-    _taint_capture("logsumexp")
     shift = Tensor(x.data.max(axis=axis, keepdims=True))
     out = (x - shift).exp().sum(axis=axis, keepdims=True).log() + shift
     if not keepdims:
@@ -144,20 +128,13 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     if starts is not None:
         out_data = np.add.reduceat(x.data, starts, axis=0)
     else:
-        _taint_capture("segment_sum (scatter path)")
         out_data = np.zeros((num_segments,) + x.shape[1:], dtype=np.float64)
         np.add.at(out_data, ids, x.data)
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(np.asarray(g)[ids])
 
-    out = x._make(out_data, (x,), backward)
-    cap = _tensor_state._CAPTURE
-    if cap is not None and starts is not None:
-        cap.record(
-            out, "segment_reduceat", (x,), {"ufunc": np.add, "starts": starts}
-        )
-    return out
+    return x._make(out_data, (x,), backward)
 
 
 def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -187,7 +164,6 @@ def segment_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
         mask = x.data == out_data[ids]
         counts = np.add.reduceat(mask.astype(np.float64), starts, axis=0)
     else:
-        _taint_capture("segment_max_pool (scatter path)")
         out_data = np.full((num_segments,) + x.shape[1:], -np.inf)
         np.maximum.at(out_data, ids, x.data)
         mask = x.data == out_data[ids]
@@ -197,14 +173,7 @@ def segment_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     def backward(g: np.ndarray) -> None:
         x._accumulate(np.where(mask, np.asarray(g)[ids] / counts[ids], 0.0))
 
-    out = x._make(out_data, (x,), backward)
-    cap = _tensor_state._CAPTURE
-    if cap is not None and starts is not None:
-        cap.record(
-            out, "segment_reduceat", (x,),
-            {"ufunc": np.maximum, "starts": starts},
-        )
-    return out
+    return x._make(out_data, (x,), backward)
 
 
 def segment_log_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -214,7 +183,6 @@ def segment_log_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -
     whole unroll live in one tensor, ``segment_ids`` marking which decision
     each entry belongs to.  Stable via a detached per-segment max shift.
     """
-    _taint_capture("segment_log_softmax")
     ids = _check_segments(x, segment_ids, num_segments)
     if x.ndim != 1:
         raise ValueError("segment_log_softmax expects a flat 1-D logit vector")
@@ -248,7 +216,6 @@ def clipped_surrogate(
     """
     if not 0.0 < clip_epsilon < 1.0:
         raise ValueError(f"clip_epsilon must be in (0, 1), got {clip_epsilon}")
-    _taint_capture("clipped_surrogate")
     old = np.asarray(old_log_probs, dtype=np.float64)
     adv = np.asarray(advantages, dtype=np.float64)
     if old.shape != log_probs.shape or adv.shape != log_probs.shape:
@@ -285,7 +252,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
 
 def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
     """Huber (smooth-L1) loss, an optional robust critic loss."""
-    _taint_capture("huber_loss")
     diff = (prediction - target).abs()
     d = np.asarray(diff.data)
     quad_mask = Tensor((d <= delta).astype(np.float64))
@@ -306,7 +272,6 @@ def masked_log_softmax(
     """
     if mask is None:
         return log_softmax(x, axis=axis)
-    _taint_capture("masked_log_softmax")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} != logits shape {x.shape}")

@@ -1,22 +1,23 @@
 """ctypes loader for the C fusion core (``_fusion.c``).
 
-The compiled training step (:class:`repro.nn.compile.TrainingCompiler`) is
-memory-bound in pure NumPy: the forward/backward replay walks the same
+The array training step (:func:`repro.nn.compile.array_step`) is
+memory-bound in pure NumPy: its forward and backward walk the same
 ``(m, hidden)`` float64 arrays a dozen times because NumPy cannot fuse
 elementwise chains or stream ``reduceat`` segments.  The C core fuses those
 passes while reproducing each NumPy op sequence *bitwise* (see the header
-comment of ``_fusion.c`` for the per-kernel argument) — and capture-time
-validation in the training compiler re-checks the whole program against the
-reference tape anyway, so a deviation demotes the plan to the reference
-fallback instead of corrupting training.
+comment of ``_fusion.c`` for the per-kernel argument).
 
 The shared object is built on first use with the C compiler already in the
 image (``cc -O3 -ffp-contract=off``) and cached under
-``~/.cache/repro-fusion/`` keyed by source hash.  Anything missing — no
-compiler, sandboxed cache dir, dlopen failure — degrades to ``load()``
-returning ``None`` and callers staying on their pure-NumPy kernels.  Set
-``REPRO_NO_FUSION=1`` to force that path (the bench harness uses it to
-measure the NumPy fallback).
+``~/.cache/repro-fusion/`` keyed by source hash — not by compiler, so a
+cached object can be stale or miscompiled.  ``load()`` therefore runs a
+known-answer check before handing the core out: every kernel the training
+step uses runs on a small fixed input with ties and must equal its NumPy
+twin bit for bit.  Anything wrong — no compiler, sandboxed cache dir,
+dlopen failure, a failed check — degrades to ``load()`` returning ``None``
+and callers staying on their pure-NumPy kernels.  Set ``REPRO_NO_FUSION=1``
+to force that path (the bench harness uses it to measure the NumPy
+fallback).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class FusionLib:
     Thin wrappers that translate NumPy arrays to pointers; every array must
     be C-contiguous float64 / int64 / int32 / uint8 as noted.  No shape
     checking beyond what keeps the C code memory-safe — these are internal
-    kernels behind the training compiler's validation gate.
+    kernels of the array training step.
     """
 
     def __init__(self, cdll: ctypes.CDLL) -> None:
@@ -217,13 +218,72 @@ def _build(source: Path) -> Optional[Path]:
         return None
 
 
+def _bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _passes_known_answers(lib: FusionLib) -> bool:
+    """Every kernel the training step uses, on a small fixed input with ties
+    (repeated rows, ReLU zeros, all-zero max-pool columns), equals its NumPy
+    twin from the ``fu=None`` path bit for bit."""
+    from scipy import sparse as sp
+
+    starts = np.array([0, 3], dtype=np.int64)
+    gids = np.repeat(np.arange(2), 3)
+    m, k = 6, 4
+    adj = sp.csr_matrix(np.kron(np.eye(2), [[0.5, 0.25, 0.0], [0.25, 0.5, 0.3], [0.0, 0.3, 0.5]]))
+    adj_t = adj.T.tocsr()
+    x = 3.0 * np.sin(1.7 * np.arange(m * k, dtype=np.float64).reshape(m, k))
+    x[1] = x[0]
+    bias = np.array([0.3, -0.2, -50.0, 0.0])
+
+    h = np.empty((m, k))
+    mask = np.empty((m, k), dtype=np.bool_)
+    lib.spmm_bias_relu(adj.indptr, adj.indices, adj.data, bias, x, h, mask)
+    want = adj @ x
+    want += bias
+    want_mask = want > 0.0
+    np.fmax(want, 0.0, out=want)
+    ok = _bits(h, want) and _bits(mask, want_mask)
+
+    mp, pooled, counts = np.empty((2, k)), np.empty((2, k)), np.empty((2, k))
+    pmask = np.empty((m, k), dtype=np.bool_)
+    lib.pool_fwd(starts, want, mp, pooled, pmask, counts)
+    want_pooled = np.maximum.reduceat(want, starts, axis=0)
+    want_pmask = want == want_pooled[gids]
+    ok = ok and _bits(mp, np.add.reduceat(want, starts, axis=0))
+    ok = ok and _bits(pooled, want_pooled) and _bits(pmask, want_pmask)
+    ok = ok and _bits(counts, np.add.reduceat(want_pmask.astype(np.float64), starts, axis=0))
+
+    g = np.cos(2.3 * np.arange(m * k, dtype=np.float64).reshape(m, k)) - 0.1
+    ga, bias_grad = np.empty((m, k)), np.empty(k)
+    lib.relu_bwd(g, want_mask, ga, bias_grad)
+    want_ga = np.multiply(g, want_mask)
+    ok = ok and _bits(ga, want_ga) and _bits(bias_grad, np.sum(want_ga, axis=0))
+
+    out = np.empty((m, k))
+    lib.spmm(adj_t.indptr, adj_t.indices, adj_t.data, want_ga, out)
+    ok = ok and _bits(out, adj_t @ want_ga)
+
+    ready_rows = np.array([0, 4])
+    ready_inv = np.full(m, -1, dtype=np.int64)
+    ready_inv[ready_rows] = np.arange(ready_rows.size)
+    gmp, gpool, gready = g[:2].copy(), g[2:4].copy(), g[4:].copy()
+    gh = np.empty((m, k))
+    lib.gh_accum(gids, ready_inv, gmp, gpool, want_pmask, gready, gh)
+    want_gh = gmp[gids] + np.where(want_pmask, gpool[gids], 0.0)
+    scatter = np.zeros((m, k))
+    scatter[ready_rows] = gready
+    return ok and _bits(gh, want_gh + scatter)
+
+
 def load() -> Optional[FusionLib]:
     """The process-wide fusion core, or ``None`` when unavailable.
 
     Compiles and caches the shared object on first call; later calls reuse
     the resolved handle.  Returns ``None`` (permanently for the process) if
-    ``REPRO_NO_FUSION`` is set, no C compiler exists, the build fails, or
-    the object cannot be loaded.
+    ``REPRO_NO_FUSION`` is set, no C compiler exists, the build fails, the
+    object cannot be loaded, or its kernels fail the known-answer check.
     """
     global _LIB
     if _LIB is False:
@@ -238,8 +298,9 @@ def load() -> Optional[FusionLib]:
         if so_path is None:
             _LIB = False
             return None
-        _LIB = FusionLib(ctypes.CDLL(str(so_path)))
-        return _LIB  # type: ignore[return-value]
+        lib = FusionLib(ctypes.CDLL(str(so_path)))
+        _LIB = lib if _passes_known_answers(lib) else False
+        return _LIB or None  # type: ignore[return-value]
     except (OSError, AttributeError):
         _LIB = False
         return None

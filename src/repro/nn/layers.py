@@ -36,6 +36,8 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; both are discovered automatically (like ``torch.nn.Module``).
+    Private (``_``-prefixed) attributes are not discovered, so a module may
+    keep its own bindings of its parameters there.
     """
 
     def __call__(self, *args, **kwargs):
@@ -49,6 +51,8 @@ class Module:
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         """Yield ``(dotted_name, parameter)`` pairs, depth-first."""
         for attr, value in vars(self).items():
+            if attr.startswith("_"):
+                continue
             name = f"{prefix}{attr}"
             if isinstance(value, Parameter):
                 yield name, value

@@ -18,7 +18,6 @@ from typing import Sequence, Union
 import numpy as np
 from scipy import sparse as sp
 
-from repro.nn import tensor as _tensor_state
 from repro.nn.tensor import Tensor
 
 AdjacencyLike = Union[np.ndarray, sp.spmatrix]
@@ -110,20 +109,24 @@ def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     out_data = csr @ x.data
 
     def backward(g: np.ndarray) -> None:
-        # Aᵀ as CSR, cached on the matrix: CSC matvecs (what `csr.T @ g`
-        # dispatches to) are several times slower than CSR, and the same
-        # adjacency serves every GCN layer plus repeated updates.
-        transpose = getattr(csr, "_cached_transpose_csr", None)
-        if transpose is None:
-            transpose = csr.T.tocsr()
-            csr._cached_transpose_csr = transpose
-        x._accumulate(transpose @ np.asarray(g))
+        x._accumulate(transpose_csr(csr) @ np.asarray(g))
 
-    out = x._make(np.asarray(out_data), (x,), backward)
-    cap = _tensor_state._CAPTURE
-    if cap is not None:
-        cap.record(out, "spmm", (x,), {"matrix": csr})
-    return out
+    return x._make(np.asarray(out_data), (x,), backward)
+
+
+def transpose_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """Aᵀ as CSR, cached on the matrix.
+
+    CSC matvecs (what ``csr.T @ g`` dispatches to) are several times slower
+    than CSR, and the same adjacency serves every GCN layer plus repeated
+    updates.  The tape's spmm backward and the array training step both
+    take their transpose here, so both sum in the same float order.
+    """
+    transpose = getattr(csr, "_cached_transpose_csr", None)
+    if transpose is None:
+        transpose = csr.T.tocsr()
+        csr._cached_transpose_csr = transpose
+    return transpose
 
 
 def gcn_normalize_adjacency_sparse(adjacency: AdjacencyLike) -> sp.csr_matrix:

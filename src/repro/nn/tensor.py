@@ -1,6 +1,11 @@
 """Reverse-mode automatic differentiation on NumPy arrays.
 
-This is the substrate that replaces ``torch.Tensor`` for the READYS agent.
+This is the substrate that replaces ``torch.Tensor`` for the READYS agent:
+the library's autograd (imitation learning, gradcheck, anomaly mode), the
+path of the training updates the array step does not take, and the oracle
+the tape-free forward (:mod:`repro.nn.array_forward`) and the array
+training step (:func:`repro.nn.compile.array_step`) are tested against.
+Neither of those runs through it.
 Design notes (per the hpc-parallel guides: vectorise, avoid copies):
 
 * every op records a backward closure over the *parent* tensors; gradients
@@ -8,8 +13,7 @@ Design notes (per the hpc-parallel guides: vectorise, avoid copies):
   via a topological sweep;
 * broadcasting is supported everywhere through :func:`_unbroadcast`, which
   sums gradients over broadcast axes;
-* a global ``no_grad`` switch disables graph recording for inference paths
-  (the simulator's per-decision forward pass, paper Fig. 7 measures this).
+* a global ``no_grad`` switch disables graph recording.
 
 Only the operations required by the agent and its tests are implemented, but
 each is implemented completely (forward + backward + broadcasting).
@@ -19,8 +23,8 @@ Correctness sanitizers (the runtime half of :mod:`repro.analysis`):
 * **version counters** — every tensor carries a version counter shared with
   its detached views; assigning through the ``data`` property (including the
   ``t.data += …`` idiom) bumps it, and :meth:`Tensor.bump_version` records
-  other sanctioned buffer writes.  Ops snapshot their parents' versions at
-  capture time; :meth:`Tensor.backward` validates the whole graph *before*
+  other sanctioned buffer writes.  Ops snapshot their parents' versions
+  when they build the graph; :meth:`Tensor.backward` validates the whole graph *before*
   running any closure and raises naming the offending tensor and op if a
   captured buffer changed — the PyTorch version-counter semantics, rebuilt
   on NumPy;
@@ -40,40 +44,6 @@ import numpy as np
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 _GRAD_ENABLED = True
-
-#: Capture recorder installed by :mod:`repro.nn.compile` while tracing a
-#: reference training step; ``None`` otherwise.  The hot-path cost when off is a
-#: single module-global read per op.  Ops report themselves right after
-#: ``_make``; ``_make`` itself counts every tensor it produces so the
-#: recorder can detect ops that slipped past the hooks.
-_CAPTURE = None
-
-#: Backward-trace sink installed by the training compiler while capturing a
-#: reference update: a plain list that :meth:`Tensor.backward` appends one
-#: ``(op_name, shape)`` entry to per executed closure, in execution order.
-#: ``None`` otherwise — the hot-path cost when off is one module-global read
-#: per backward() call plus one ``is not None`` test per node.
-_BACKWARD_TRACE = None
-
-
-@contextlib.contextmanager
-def trace_backward():
-    """Record the closure schedule of every backward() run in this scope.
-
-    Yields a list that receives ``(op_name, shape)`` tuples in the exact
-    order closures execute (reverse topological).  The training compiler uses
-    this to validate that the tape's backward schedule matches the fused
-    kernel program it is about to substitute for it.
-    """
-    global _BACKWARD_TRACE
-    prev = _BACKWARD_TRACE
-    trace: List[Tuple[str, Tuple[int, ...]]] = []
-    _BACKWARD_TRACE = trace
-    try:
-        yield trace
-    finally:
-        _BACKWARD_TRACE = prev
-
 
 def is_grad_enabled() -> bool:
     """Whether autograd graph recording is currently active."""
@@ -307,10 +277,6 @@ class Tensor:
         The view aliases the same buffer, so it shares this tensor's version
         counter: writes through either handle are seen by both.
         """
-        if _CAPTURE is not None:
-            # a detached mid-graph value would be baked as a constant, so a
-            # replay with different inputs would silently reuse stale data
-            _CAPTURE.taint("detach during capture")
         out = Tensor(self._data, requires_grad=False)
         out._version = self._version
         return out
@@ -334,8 +300,6 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        if _CAPTURE is not None:
-            _CAPTURE.made += 1
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         if not requires:
             out = Tensor(data)
@@ -381,10 +345,7 @@ class Tensor:
             self._accumulate(_unbroadcast(g, self.shape))
             other._accumulate(_unbroadcast(g, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "add", (self, other))
-        return out
+        return self._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -392,10 +353,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(-g)
 
-        out = self._make(-self.data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "neg", (self,))
-        return out
+        return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
@@ -405,10 +363,7 @@ class Tensor:
             self._accumulate(_unbroadcast(g, self.shape))
             other._accumulate(_unbroadcast(-g, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "sub", (self, other))
-        return out
+        return self._make(out_data, (self, other), backward)
 
     def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._lift(other).__sub__(self)
@@ -421,10 +376,7 @@ class Tensor:
             self._accumulate(_unbroadcast(g * other.data, self.shape))
             other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        out = self._make(out_data, (self, other), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "mul", (self, other))
-        return out
+        return self._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -438,10 +390,7 @@ class Tensor:
                 _unbroadcast(-g * self.data / (other.data**2), other.shape)
             )
 
-        out = self._make(out_data, (self, other), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "truediv", (self, other))
-        return out
+        return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._lift(other).__truediv__(self)
@@ -454,10 +403,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * exponent * self.data ** (exponent - 1))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "pow", (self,), {"exponent": float(exponent)})
-        return out
+        return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
@@ -480,10 +426,7 @@ class Tensor:
                 self._accumulate(np.outer(g, b))
                 other._accumulate(a.T @ g)
 
-        out = self._make(out_data, (self, other), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "matmul", (self, other))
-        return out
+        return self._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # elementwise non-linearities
@@ -495,10 +438,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * out_data)
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "exp", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -506,10 +446,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g / self.data)
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "log", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -518,10 +455,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * mask)
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "relu", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -529,10 +463,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * (1.0 - out_data**2))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "tanh", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -540,10 +471,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * out_data * (1.0 - out_data))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "sigmoid", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
@@ -552,10 +480,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * sign)
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "abs", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -574,12 +499,7 @@ class Tensor:
                     grad = np.expand_dims(grad, ax)
             self._accumulate(np.broadcast_to(grad, self.shape))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(
-                out, "sum", (self,), {"axis": axis, "keepdims": keepdims}
-            )
-        return out
+        return self._make(out_data, (self,), backward)
 
     def mean(
         self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False
@@ -607,12 +527,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(np.where(mask, grad / counts, 0.0))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(
-                out, "max", (self,), {"axis": axis, "keepdims": keepdims}
-            )
-        return out
+        return self._make(out_data, (self,), backward)
 
     def min(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -630,10 +545,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(np.asarray(g).reshape(original))
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "reshape", (self,), {"shape": out_data.shape})
-        return out
+        return self._make(out_data, (self,), backward)
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
@@ -648,10 +560,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(np.asarray(g).T)
 
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "transpose", (self,))
-        return out
+        return self._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -675,10 +584,7 @@ class Tensor:
 
         if out_data.base is not None:  # basic slicing returned a view
             out_data = np.array(out_data, copy=True)
-        out = self._make(out_data, (self,), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "getitem", (self,), {"index": index})
-        return out
+        return self._make(out_data, (self,), backward)
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -695,10 +601,7 @@ class Tensor:
                 t._accumulate(g[tuple(sl)])
 
         ref = tensors[0]
-        out = ref._make(out_data, tuple(tensors), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "concat", tuple(tensors), {"axis": axis})
-        return out
+        return ref._make(out_data, tuple(tensors), backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -711,10 +614,7 @@ class Tensor:
                 t._accumulate(np.take(g, i, axis=axis))
 
         ref = tensors[0]
-        out = ref._make(out_data, tuple(tensors), backward)
-        if _CAPTURE is not None:
-            _CAPTURE.record(out, "stack", tuple(tensors), {"axis": axis})
-        return out
+        return ref._make(out_data, tuple(tensors), backward)
 
     # ------------------------------------------------------------------ #
     # backward pass
@@ -765,11 +665,8 @@ class Tensor:
                 f"backward() of the {self._describe()}"
             )
         self._accumulate(grad)
-        trace = _BACKWARD_TRACE
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                if trace is not None:
-                    trace.append((node.op_name(), node.shape))
                 if anomaly and not np.all(np.isfinite(node.grad)):
                     raise AnomalyError(
                         f"detect_anomaly: non-finite gradient flowing into "

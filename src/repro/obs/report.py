@@ -8,8 +8,8 @@ in a vectorised run one ``decision`` span is one lockstep step of all K
 members, ``batch=K``, and a ``state_build`` span carrying ``batch`` is one
 batched build),
 the gradient-update phase breakdown (forward / backward / optimizer shares,
-emitted by both the compiled replay and the reference tape an update falls
-back to, so the two engines' per-phase costs are directly comparable), the
+emitted by both the array training step and the reference tape an update
+falls back to, so the two paths' per-phase costs are directly comparable), the
 learning curve (bucketed episode makespans, from the metrics series when
 available, else from ``episode_end`` trace events), training diagnostics
 and simulator utilization.
@@ -25,7 +25,7 @@ import numpy as np
 from repro.obs.metrics import iter_series, load_metrics_rows, scalar_value
 
 #: gradient-update phases timed inside every ``update`` span (reference tape
-#: and compiled replay alike): graph forward, backward closures, clip + Adam
+#: and array step alike): graph forward, backward closures, clip + Adam
 UPDATE_PHASES = ("update/forward", "update/backward", "update/optimizer")
 
 #: span names whose latency distribution gets a percentile row

@@ -19,7 +19,7 @@ The paper grid-searches ``unroll_length ∈ {20, 40, 60, 80}`` and uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,10 +91,9 @@ def a2c_loss_terms(
 ) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
     """Build the A2C loss graph from one batched forward.
 
-    Shared between the reference tape path and the training compiler's
-    capture callback so both construct the *identical* op sequence — the
-    capture-time bitwise validation in :class:`~repro.nn.compile.\
-TrainingCompiler` depends on there being exactly one loss construction.
+    The tape's half of the update: the array step
+    (:func:`repro.nn.compile.array_step`) mirrors this op sequence bitwise,
+    and ``tests/rl/test_array_step.py`` holds the two equal.
 
     Returns ``(loss, policy_loss, value_loss, entropy)`` tensors.
     """
@@ -124,13 +123,12 @@ class A2CUpdater:
         self.agent = agent
         self.config = config if config is not None else A2CConfig()
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
-        # updates replay as fused kernels validated bitwise against the tape
-        # at capture time; shapes the engine refuses run the tape itself
+        # updates run as one array step; the ones it refuses run the tape
         self._train_compiler = TrainingCompiler(agent, self.optimizer)
         self._train_compiler.tracer = obs.TRACER
 
     def train_compile_stats(self) -> Dict[str, float]:
-        """Plan/fallback counters of the training compiler."""
+        """Array-step/fallback counters of the training step."""
         return self._train_compiler.stats_dict()
 
     def compute_returns(
@@ -189,33 +187,23 @@ class A2CUpdater:
         mean_return = float(returns.mean())
 
         obs_list = [t.obs for t in flat]
-        glue = self.agent._batch_glue(obs_list) if n > 1 else None
-
-        def terms() -> Tuple[Tensor, Dict[str, float]]:
-            # a batch of one routes through forward(), bit-identical to it
-            if glue is None:
-                bf = self.agent.forward_batch_flat(obs_list)
-            else:
-                bf = self.agent._forward_glue(glue)
-            return self._loss_terms(bf, actions, returns, normalize)
-
-        out = None
-        if glue is not None:
-            out = self._train_compiler.update(
-                "a2c",
-                glue,
-                actions,
-                {
-                    "returns": returns,
-                    "value_coef": cfg.value_coef,
-                    "entropy_coef": cfg.entropy_coef,
-                    "normalize_advantage": normalize,
-                    "max_grad_norm": cfg.max_grad_norm,
-                },
-                reference=terms,
+        glue = self.agent._batch_glue(obs_list)
+        out = self._train_compiler.update(
+            "a2c",
+            glue,
+            actions,
+            {
+                "returns": returns,
+                "value_coef": cfg.value_coef,
+                "entropy_coef": cfg.entropy_coef,
+                "normalize_advantage": normalize,
+                "max_grad_norm": cfg.max_grad_norm,
+            },
+        )
+        if out is None:  # a fallback: the tape runs the step
+            out = self._reference_step(
+                lambda: self._loss_terms(obs_list, glue, actions, returns, normalize)
             )
-        if out is None:  # a batch of one or a refusal: the tape runs the step
-            out = self._reference_step(terms)
         return UpdateStats(
             policy_loss=out["policy_loss"],
             value_loss=out["value_loss"],
@@ -250,18 +238,22 @@ class A2CUpdater:
 
     def _loss_terms(
         self,
-        bf: BatchedForward,
+        obs_list: List[Observation],
+        glue: Any,
         actions: np.ndarray,
         returns: np.ndarray,
         normalize: bool,
     ) -> Tuple[Tensor, Dict[str, float]]:
-        """Reference loss construction (also the compiler's capture callback).
+        """The tape's forward and loss construction.
 
-        For a batch the forward runs over the *same* glue the fused kernel
-        will use, so the capture-time bitwise validation compares like with
-        like.
+        A batch runs over the *same* glue the array step reads; a batch of
+        one routes through :meth:`ReadysAgent.forward`, bit-identical to it.
         """
         cfg = self.config
+        if len(obs_list) == 1:
+            bf = self.agent.forward_batch_flat(obs_list)
+        else:
+            bf = self.agent._forward_glue(glue)
         loss, policy_loss, value_loss, entropy = a2c_loss_terms(
             bf,
             actions,

@@ -24,10 +24,10 @@ batched variants) run :mod:`repro.nn.array_forward` instead — the tape's
 exact op sequence on the parameter arrays, with no ``Tensor`` and no
 backward closure, bitwise equal to the tape.  A batch of one takes the
 single-observation mirror of :meth:`forward`, so it is bit-identical to the
-unbatched helper.  The compiled training step
-(:class:`~repro.nn.compile.TrainingCompiler`) runs the same batched function
-as its replay's forward half and :meth:`_forward_batch_tensors` as its
-reference loss graph.
+unbatched helper.  The array training step
+(:func:`~repro.nn.compile.array_step`) runs the same batched function as its
+forward half; :meth:`_forward_batch_tensors` builds the tape's loss graph on
+the updates it falls back on.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class _BatchGlue:
 
     Shared between the tape-free forward
     (:func:`repro.nn.array_forward.batch_forward`), the reference
-    :meth:`ReadysAgent.forward_batch_flat` and the compiled training step,
+    :meth:`ReadysAgent.forward_batch_flat` and the array training step,
     so all three feed *the same arrays* into the network.  Built from an
     :class:`~repro.sim.state.ObservationBatch` it reuses the batch's arrays
     as they are; built from a list of observations it concatenates their
@@ -181,7 +181,7 @@ class _BatchGlue:
     @cached_property
     def adj(self) -> sp.csr_matrix:
         """The block-diagonal adjacency as a ``csr_matrix`` (the tape's
-        operand; the training replay caches its transpose on it)."""
+        operand; both backwards cache its transpose on it)."""
         n = self.feats.shape[0]
         return sp.csr_matrix(
             (self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n)
@@ -244,6 +244,9 @@ class ReadysAgent(Module):
         self.task_score = Linear(config.hidden_dim, 1, rng=rng)
         self.pass_score = Linear(config.hidden_dim + config.proc_feature_dim, 1, rng=rng)
         self.value_head = Linear(config.hidden_dim, 1, rng=rng)
+        # bound once: the forwards read p.data per call, because
+        # load_state_dict rebinds the arrays but never the Parameters
+        self._params = self.parameters()
 
     def forward(self, obs: Observation) -> Tuple[Tensor, Tensor]:
         """Return ``(logits, value)`` for one observation.
@@ -404,7 +407,7 @@ class ReadysAgent(Module):
 
     def _weights(self) -> List[np.ndarray]:
         """The live parameter arrays, in :meth:`parameters` order."""
-        return [p.data for p in self.parameters()]
+        return [p.data for p in self._params]
 
     def _forward_arrays(self, obs: Observation) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`forward` without the tape: ``(logits, value)`` arrays,

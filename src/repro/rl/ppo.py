@@ -116,9 +116,8 @@ def ppo_loss_terms(
 ) -> Tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """Build the PPO clipped-surrogate loss graph from one batched forward.
 
-    Shared between the reference tape path and the training compiler's
-    capture callback (see :func:`repro.rl.a2c.a2c_loss_terms` for why there
-    must be exactly one construction).  ``advantages`` arrive already
+    The tape's half of the update, mirrored bitwise by the array step (see
+    :func:`repro.rl.a2c.a2c_loss_terms`).  ``advantages`` arrive already
     normalised; both they and ``old_log_probs`` are rollout-time constants.
 
     Returns ``(loss, policy_loss, value_loss, entropy, logp_actions)``
@@ -160,14 +159,13 @@ class PPOTrainer:
         self._obs: Optional[Observation] = None
         self.episode_makespans: List[float] = []
         self.episode_rewards: List[float] = []
-        # epochs replay as fused kernels validated bitwise against the tape;
-        # the rollout's glue is built once per update and every epoch
-        # replays the same plan, so one capture serves num_epochs × updates
+        # every epoch is one array step over the rollout's glue, built once
+        # per update; the epochs it refuses run the tape
         self._train_compiler = TrainingCompiler(self.agent, self.optimizer)
         self._train_compiler.tracer = obs_mod.TRACER
 
     def train_compile_stats(self) -> Dict[str, float]:
-        """Plan/fallback counters of the training compiler."""
+        """Array-step/fallback counters of the training step."""
         return self._train_compiler.stats_dict()
 
     def _policy_stats(self, obs: Observation) -> tuple:
@@ -212,8 +210,7 @@ class PPOTrainer:
 
         Every epoch runs *one* batched forward over the whole rollout
         (block-diagonal GCN, segment log-softmax) — the glue is built once
-        and shared by all epochs, so epochs after the first capture replay
-        the captured plan as raw kernels.
+        and shared by all epochs.
         """
         if not transitions:
             raise ValueError("cannot update from an empty rollout")
@@ -225,7 +222,6 @@ class PPOTrainer:
         if len(transitions) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-        n = len(transitions)
         actions = np.array([t.action for t in transitions], dtype=np.int64)
         old_log_probs = np.array(
             [t.log_prob for t in transitions], dtype=np.float64
@@ -234,27 +230,17 @@ class PPOTrainer:
 
         keys = ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
         totals = dict.fromkeys(keys, 0.0)
+        consts = {
+            "returns": returns,
+            "value_coef": cfg.value_coef,
+            "entropy_coef": cfg.entropy_coef,
+            "old_log_probs": old_log_probs,
+            "advantages": advantages,
+            "clip_epsilon": cfg.clip_epsilon,
+            "max_grad_norm": cfg.max_grad_norm,
+        }
         for _ in range(cfg.num_epochs):
-            out = None
-            if n > 1:
-                out = self._train_compiler.update(
-                    "ppo",
-                    glue,
-                    actions,
-                    {
-                        "returns": returns,
-                        "value_coef": cfg.value_coef,
-                        "entropy_coef": cfg.entropy_coef,
-                        "normalize_advantage": False,
-                        "old_log_probs": old_log_probs,
-                        "advantages": advantages,
-                        "clip_epsilon": cfg.clip_epsilon,
-                        "max_grad_norm": cfg.max_grad_norm,
-                    },
-                    reference=lambda: self._reference_terms(
-                        glue, actions, returns, advantages, old_log_probs
-                    ),
-                )
+            out = self._train_compiler.update("ppo", glue, actions, consts)
             if out is None:
                 out = self._reference_epoch(
                     glue, actions, returns, advantages, old_log_probs
@@ -301,11 +287,8 @@ class PPOTrainer:
         advantages: np.ndarray,
         old_log_probs: np.ndarray,
     ) -> Tuple[Tensor, Dict[str, float]]:
-        """Reference loss construction (also the compiler's capture callback).
-
-        Runs the batched forward over the *same* glue the fused kernel will
-        use, so the capture-time bitwise validation compares like with like.
-        """
+        """The tape's forward and loss construction, over the *same* glue
+        the array step reads."""
         cfg = self.config
         loss, policy_loss, value_loss, entropy, logp_actions = ppo_loss_terms(
             self.agent._forward_glue(glue),

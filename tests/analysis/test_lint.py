@@ -307,7 +307,7 @@ class TestCompileInternals:
         assert rule_ids(lint_snippet(src, path=self.PROD)) == ["RPR008"]
 
     def test_internal_name_flagged(self):
-        src = "from repro.nn.compile import _TrainPlan\n"
+        src = "from repro.nn.compile import array_step\n"
         assert rule_ids(lint_snippet(src, path=self.PROD)) == ["RPR008"]
 
     def test_from_nn_import_compile_module_flagged(self):
@@ -316,15 +316,15 @@ class TestCompileInternals:
 
     def test_public_name_direct_import_allowed(self):
         # the public names may be taken from the submodule directly
-        src = "from repro.nn.compile import TrainStats\n"
+        src = "from repro.nn.compile import TrainingCompiler\n"
         assert lint_snippet(src, path=self.PROD) == []
 
     def test_reexport_allowed(self):
-        src = "from repro.nn import TrainStats\n"
+        src = "from repro.nn import Tensor, TrainingCompiler\n"
         assert lint_snippet(src, path=self.PROD) == []
 
     def test_mixed_import_flags_only_internals(self):
-        src = "from repro.nn.compile import TrainingCompiler, _TrainCapture\n"
+        src = "from repro.nn.compile import TrainingCompiler, array_step\n"
         assert rule_ids(lint_snippet(src, path=self.PROD)) == ["RPR008"]
 
     @pytest.mark.parametrize(
@@ -336,7 +336,7 @@ class TestCompileInternals:
         ],
     )
     def test_exempt_paths(self, path):
-        src = "from repro.nn.compile import _TrainPlan\nimport repro.nn.compile\n"
+        src = "from repro.nn.compile import array_step\nimport repro.nn.compile\n"
         assert lint_snippet(src, path=path) == []
 
     def test_disable_comment_respected(self):
@@ -346,7 +346,7 @@ class TestCompileInternals:
     # -- training-compiler surface / C fusion core ---------------------- #
 
     def test_training_compiler_public_names_allowed(self):
-        src = "from repro.nn.compile import TrainingCompiler, TrainStats\n"
+        src = "from repro.nn.compile import TrainingCompiler as Step\n"
         assert lint_snippet(src, path=self.PROD) == []
 
     def test_training_compiler_reexport_allowed(self):

@@ -3,9 +3,10 @@
 Every kernel in ``_fusion.c`` claims to reproduce a specific NumPy op
 sequence *bitwise* — same pairwise-summation tree as ``np.add.reduceat``,
 same tie and NaN rules as ``np.maximum`` / ``np.fmax``, same sequential
-accumulation orders.  The training compiler re-validates whole programs at
-capture time, but that only exercises the shapes and value distributions
-real training produces.  These tests pin each kernel in isolation on
+accumulation orders.  ``fusion.load()`` re-checks the training step's
+kernels on one small fixed input, and the differential suite
+``tests/rl/test_array_step.py`` checks whole steps on live batches, but
+neither covers every branch.  These tests pin each kernel in isolation on
 adversarial inputs: segment lengths straddling every pairwise-summation
 branch, wildly mixed magnitudes (so any reassociation changes bits),
 negative zeros, NaNs, and exact ties.
@@ -387,3 +388,26 @@ class TestLoader:
 
     def test_load_is_idempotent(self):
         assert fusion.load() is LIB
+
+    @pytest.mark.parametrize(
+        "kernel", ["spmm_bias_relu", "pool_fwd", "relu_bwd", "spmm", "gh_accum"]
+    )
+    def test_a_kernel_off_by_one_bit_fails_the_load(self, monkeypatch, kernel):
+        """The fault drill for a stale or corrupt cached ``.so``: any kernel
+        of the training step that flips one output bit fails the load-time
+        known-answer check, so ``load()`` hands out no core and training
+        takes the NumPy kernels."""
+        original = getattr(fusion.FusionLib, kernel)
+
+        def off_by_one_bit(self, *args):
+            original(self, *args)
+            out = [a for a in args if a.dtype == np.float64][-1]
+            out.reshape(-1).view(np.uint64)[0] ^= np.uint64(1)
+
+        monkeypatch.setattr(fusion.FusionLib, kernel, off_by_one_bit)
+        monkeypatch.setattr(fusion, "_LIB", None)
+        assert fusion.load() is None
+        assert fusion.load() is None  # sticky for the process
+        monkeypatch.setattr(fusion.FusionLib, kernel, original)
+        monkeypatch.setattr(fusion, "_LIB", None)
+        assert fusion.load() is not None  # the intact core passes

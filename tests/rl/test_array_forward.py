@@ -25,7 +25,7 @@ from repro.nn.array_forward import batch_forward, fusion_for
 from repro.nn.tensor import Tensor, no_grad
 from repro.platforms import GaussianNoise, Platform
 from repro.policy import AgentPolicy
-from repro.rl.agent import segment_choice
+from repro.rl.agent import segment_argmax, segment_choice
 from repro.rl.trainer import default_agent
 from repro.sim import SchedulingEnv, VecSchedulingEnv
 from repro.sim.state import ObservationBatch
@@ -159,6 +159,25 @@ def test_policy_helpers_make_no_tensor(monkeypatch):
     assert made == []
     agent.forward(observations[0])  # the counters do see the tape
     assert made
+
+
+def test_forwards_read_weights_loaded_after_construction():
+    """The agent binds its Parameters once, but reads ``p.data`` per call:
+    ``load_state_dict`` rebinds the arrays, and the next decisions follow."""
+    rng = np.random.default_rng(5)
+    observations = [random_obs(rng, n, sparse=n % 2 == 0, allow_pass=True) for n in (4, 7, 5)]
+    agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
+    before = (agent.greedy_actions(observations), agent.state_value(observations[0]))
+    agent.load_state_dict(randomize(make_agent(feature_dim=FEATURE_DIM, rng=2), 9).state_dict())
+    actions, value = agent.greedy_actions(observations), agent.state_value(observations[0])
+    assert value != before[1]
+    assert not np.array_equal(actions, before[0])
+    with no_grad():
+        logits, values = agent._forward_batch_tensors(agent._batch_glue(observations))
+        tape_value = agent.forward(observations[0])[1]
+    offsets = agent._batch_glue(observations).action_offsets
+    same_bits(actions, segment_argmax(logits.data, offsets))
+    same_bits(value, float(tape_value.data[0]))
 
 
 # --------------------------------------------------------------------- #

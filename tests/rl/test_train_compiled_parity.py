@@ -1,15 +1,15 @@
-"""Compiled-training parity: the grad-mode engine must never change training.
+"""Compiled-training parity: the array training step must never change training.
 
-The :class:`repro.nn.compile.TrainingCompiler` replays captured forward +
-backward programs as fused kernels and applies one flat clip + Adam pass.
-Float64 replays are required to be **bit-identical** to the reference
-autograd tape — same losses, same gradients, same weights after arbitrarily
-many rounds — so every learning curve, checkpoint and evaluation result is
-the tape's.  The suite pins that claim over >= 50 training rounds for A2C
-and PPO, across the in-process and vectorised trainers, and through a
-save→kill→resume cycle.  Updaters always compile, so each reference side runs
-under :func:`tests.reference_tape.reference_tape` and asserts it made no
-capture and no replay.
+The :class:`repro.nn.compile.TrainingCompiler` runs every update as one
+array step (:func:`repro.nn.compile.array_step`) and applies one flat clip +
+Adam pass.  Float64 steps are required to be **bit-identical** to the
+reference autograd tape — same losses, same gradients, same weights after
+arbitrarily many rounds — so every learning curve, checkpoint and evaluation
+result is the tape's.  The suite pins that claim over >= 50 training rounds
+for A2C and PPO, across the in-process and vectorised trainers, and through
+a save→kill→resume cycle.  Updaters always take the array step, so each
+reference side runs under :func:`tests.reference_tape.reference_tape` and
+asserts it took none.
 """
 
 import gc
@@ -18,8 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# counter assertions assume captures are not refused, so keep the ambient
-# anomaly wrapper (REPRO_DETECT_ANOMALY=1 runs) off this module; the anomaly
+# counter assertions assume no tape fallback, so keep the ambient anomaly
+# wrapper (REPRO_DETECT_ANOMALY=1 runs) off this module; the anomaly
 # interaction is pinned explicitly in TestRefusalTransparency
 pytestmark = pytest.mark.no_auto_anomaly
 
@@ -68,7 +68,7 @@ class TestFiftyRoundParity:
         assert cmp_.result.episode_makespans == ref.result.episode_makespans
         stats = cmp_.updater.train_compile_stats()
         assert_ran_compiled(stats)
-        assert stats["replays"] + stats["captures"] == 50
+        assert stats["array_steps"] == 50
 
     def test_ppo_50_rounds_bit_identical(self):
         spec = SPEC.replace(num_envs=1)
@@ -90,8 +90,8 @@ class TestFiftyRoundParity:
         assert cmp_.episode_makespans == ref.episode_makespans
         counters = cmp_.train_compile_stats()
         assert_ran_compiled(counters)
-        # every epoch of every update replays the single captured plan
-        assert counters["replays"] + counters["captures"] == 50 * 2
+        # every epoch of every update is one array step
+        assert counters["array_steps"] == 50 * 2
 
 
 class TestTrainerSurfaces:
@@ -147,24 +147,20 @@ class TestRefusalTransparency:
         assert_ran_on_tape(ref.updater.train_compile_stats())
         assert_same_weights(ref.agent, cmp_.agent)
         stats = cmp_.updater.train_compile_stats()
-        assert stats["fallbacks"] == 2 and stats["captures"] == 0
+        assert stats["fallbacks"] == 2 and stats["array_steps"] == 0
 
 
 class TestBufferFootprint:
     def test_plan_buffers_do_not_accumulate(self):
-        """Node counts change every update, so the plan's buffers are resized
-        every update; the memory held must stay within one plan's buffers
+        """Node counts change every update, so the step's buffers are resized
+        every update; the memory held must stay within one update's buffers
         instead of growing with every new shape."""
         spec = SPEC.replace(num_envs=4)
         trainer = ReadysTrainer.from_spec(spec, config=CONFIG)
         compiler = trainer.updater._train_compiler
 
-        def plan_bytes():
-            return sum(
-                buffer.nbytes
-                for plan in compiler._plans.values()
-                for buffer in plan.buffers.values()
-            )
+        def buffer_bytes():
+            return sum(buffer.nbytes for buffer in compiler._buffers.values())
 
         def held():
             gc.collect()
@@ -175,8 +171,7 @@ class TestBufferFootprint:
         try:
             for update in range(1, 26):
                 trainer.train_updates(1)
-                (plan,) = compiler._plans.values()
-                shapes.add(plan.buffers["hw"].shape)
+                shapes.add(compiler._buffers["hw"].shape)
                 if update == 5:
                     early = held()
             late = held()
@@ -184,6 +179,6 @@ class TestBufferFootprint:
             tracemalloc.stop()
         assert len(shapes) > 5, "node counts must vary across updates"
         stats = compiler.stats_dict()
-        assert stats["fallbacks"] == 0 and stats["plans"] == 1
-        assert stats["arena_bytes"] == plan_bytes()
-        assert late - early < plan_bytes()
+        assert stats["fallbacks"] == 0 and stats["array_steps"] == 25
+        assert stats["arena_bytes"] == buffer_bytes()
+        assert late - early < buffer_bytes()

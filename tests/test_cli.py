@@ -150,9 +150,8 @@ class TestCommands:
             tape_summary, tape_rows, tape_weights = run("tape")
         (summary,), rows, weights = run("compiled")
 
-        assert "0 captures / 0 replays" in tape_summary[0]
-        assert "1 captures / 4 replays" in summary
-        assert "fallbacks 0, validation failures 0" in summary
+        assert "compiled-train: 0 array steps" in tape_summary[0]
+        assert "compiled-train: 5 array steps, 0 tape fallbacks" in summary
         assert rows and rows == tape_rows
         assert sorted(weights.files) == sorted(tape_weights.files)
         for name in weights.files:
