@@ -9,16 +9,16 @@
  * all BLAS matmuls.  Compile with -ffp-contract=off: a fused multiply-add
  * changes bits.
  *
- * The TrainingCompiler validates the whole fused program bitwise against
- * the reference tape at capture time, so any deviation here demotes the
- * plan to a permanent reference fallback rather than corrupting training.
+ * repro.nn.fusion.load() runs every kernel on a fixed input against its
+ * NumPy twin before handing the core out, so a deviation here leaves the
+ * training step on its NumPy path rather than corrupting training.
  */
 
 #include <math.h>
 #include <stdint.h>
 
 /* ------------------------------------------------------------------ *
- * segment sum over rows: np.add.reduceat(X, starts, axis=0)
+ * pairwise row sums, the tail of np.add.reduceat(X, starts, axis=0)
  *
  * NumPy reduces each (segment, column) pair as
  *     first + pairwise_sum(rest)
@@ -42,7 +42,7 @@ static void pairwise_rows(const double *restrict X, int64_t k, int64_t lo, int64
         double acc[8][64];
         double stack_tail[64];
         /* k is the GCN hidden width (<= 64 in every shipped config); the
-         * loader refuses to use seg_sum for wider matrices. */
+         * loader refuses to use the core for wider matrices. */
         for (int64_t j = 0; j < 8; j++) {
             const double *restrict r = X + (lo + j) * k;
             for (int64_t c = 0; c < k; c++) acc[j][c] = r[c];
@@ -69,42 +69,6 @@ static void pairwise_rows(const double *restrict X, int64_t k, int64_t lo, int64
         pairwise_rows(X, k, lo, n2, out);
         pairwise_rows(X, k, lo + n2, n - n2, right);
         for (int64_t c = 0; c < k; c++) out[c] += right[c];
-    }
-}
-
-void seg_sum(int64_t nseg, int64_t m, int64_t k, const int64_t *restrict starts,
-             const double *restrict X, double *restrict out) {
-    double rest[64];
-    for (int64_t s = 0; s < nseg; s++) {
-        int64_t lo = starts[s];
-        int64_t hi = (s + 1 < nseg) ? starts[s + 1] : m;
-        const double *restrict row = X + lo * k;
-        double *restrict o = out + s * k;
-        for (int64_t c = 0; c < k; c++) o[c] = row[c];
-        if (hi - lo > 1) {
-            pairwise_rows(X, k, lo + 1, hi - lo - 1, rest);
-            for (int64_t c = 0; c < k; c++) o[c] += rest[c];
-        }
-    }
-}
-
-/* np.maximum.reduceat(X, starts, axis=0): sequential, NumPy's tie rule
- * (keep the accumulator only when strictly greater or NaN). */
-void seg_max(int64_t nseg, int64_t m, int64_t k, const int64_t *restrict starts,
-             const double *restrict X, double *restrict out) {
-    for (int64_t s = 0; s < nseg; s++) {
-        int64_t lo = starts[s];
-        int64_t hi = (s + 1 < nseg) ? starts[s + 1] : m;
-        const double *restrict row = X + lo * k;
-        double *restrict o = out + s * k;
-        for (int64_t c = 0; c < k; c++) o[c] = row[c];
-        for (int64_t i = lo + 1; i < hi; i++) {
-            const double *restrict r = X + i * k;
-            for (int64_t c = 0; c < k; c++) {
-                double acc = o[c], x = r[c];
-                o[c] = (acc > x || isnan(acc)) ? acc : x;
-            }
-        }
     }
 }
 
@@ -190,21 +154,6 @@ void spmm_bias_relu_i64(int64_t m, int64_t k, const int64_t *restrict indptr,
     }
 }
 
-/* h = fmax(h + bias, 0) in place, mask = (h + bias) > 0 — one pass over
- * what the tape runs as add, greater, where. */
-void bias_relu(int64_t m, int64_t k, const double *restrict bias, double *restrict h,
-               uint8_t *restrict mask) {
-    for (int64_t i = 0; i < m; i++) {
-        double *restrict row = h + i * k;
-        uint8_t *restrict mk = mask + i * k;
-        for (int64_t c = 0; c < k; c++) {
-            double t = row[c] + bias[c];
-            mk[c] = t > 0.0;
-            row[c] = t >= 0.0 ? t : 0.0;  /* np.fmax(t, 0.0), see above */
-        }
-    }
-}
-
 /* ReLU backward fused with the bias gradient: ga = g * mask and
  * bias_grad = ga.sum(axis=0) (NumPy sums the outer axis sequentially
  * from a zero accumulator). */
@@ -223,32 +172,15 @@ void relu_bwd(int64_t m, int64_t k, const double *restrict g, const uint8_t *res
     }
 }
 
-/* Max-pool tie mask and tie counts in one pass:
- * pmask = (h == pooled[gid]); counts = segment sum of the 0/1 mask.
- * The count accumulation order is free — sums of exact small integers
- * are associativity-invariant in float64. */
-void maxpool_tail(int64_t m, int64_t k, int64_t nseg, const int64_t *restrict gids,
-                  const double *restrict h, const double *restrict pooled, uint8_t *restrict pmask,
-                  double *restrict counts) {
-    for (int64_t s = 0; s < nseg * k; s++) counts[s] = 0.0;
-    for (int64_t i = 0; i < m; i++) {
-        const double *restrict row = h + i * k;
-        const double *restrict p = pooled + gids[i] * k;
-        double *restrict cnt = counts + gids[i] * k;
-        uint8_t *restrict mk = pmask + i * k;
-        for (int64_t c = 0; c < k; c++) {
-            uint8_t eq = row[c] == p[c];
-            mk[c] = eq;
-            cnt[c] += (double)eq;
-        }
-    }
-}
-
 /* Both pooling heads plus the tie mask/counts in one sweep: the segment's
- * rows stay cached between the sum (seg_sum order), the max (seg_max
- * order) and the tie pass, so h is read from memory once instead of three
- * times.  Per (segment, column) the arithmetic matches the separate
- * kernels exactly. */
+ * rows stay cached between the sum, the max and the tie pass, so h is read
+ * from memory once instead of three times.
+ *   mp     = np.add.reduceat(h, starts, axis=0): per (segment, column)
+ *            first + pairwise_rows(rest), NumPy's summation tree
+ *   pooled = np.maximum.reduceat(h, starts, axis=0): sequential, NumPy's
+ *            tie rule (keep the accumulator when strictly greater or NaN)
+ *   pmask  = (h == pooled[gid]); counts = segment sum of the 0/1 mask, whose
+ *            order is free (sums of small integers are exact in float64) */
 void pool_fwd(int64_t nseg, int64_t m, int64_t k, const int64_t *restrict starts,
               const double *restrict h, double *restrict mp, double *restrict pooled, uint8_t *restrict pmask,
               double *restrict counts) {

@@ -58,16 +58,12 @@ class FusionLib:
     def __init__(self, cdll: ctypes.CDLL) -> None:
         self._lib = cdll
         for name, argtypes in {
-            "seg_sum": (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64),
-            "seg_max": (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64),
             "spmm_i32": (ctypes.c_int64, ctypes.c_int64, _I32, _I32, _F64, _F64, _F64),
             "spmm_i64": (ctypes.c_int64, ctypes.c_int64, _I64, _I64, _F64, _F64, _F64),
             "spmm_bias_relu_i32": (ctypes.c_int64, ctypes.c_int64, _I32, _I32, _F64, _F64, _F64, _F64, _U8),
             "spmm_bias_relu_i64": (ctypes.c_int64, ctypes.c_int64, _I64, _I64, _F64, _F64, _F64, _F64, _U8),
             "pool_fwd": (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64, _F64, _U8, _F64),
-            "bias_relu": (ctypes.c_int64, ctypes.c_int64, _F64, _F64, _U8),
             "relu_bwd": (ctypes.c_int64, ctypes.c_int64, _F64, _U8, _F64, _F64),
-            "maxpool_tail": (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64, _U8, _F64),
             "gh_accum": (ctypes.c_int64, ctypes.c_int64, _I64, _I64, _F64, _F64, _U8, _F64, _F64),
         }.items():
             fn = getattr(cdll, name)
@@ -77,18 +73,6 @@ class FusionLib:
     @staticmethod
     def _p(arr: np.ndarray, ptype):
         return arr.ctypes.data_as(ptype)
-
-    def seg_sum(self, starts: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-        self._lib.seg_sum(
-            starts.shape[0], x.shape[0], x.shape[1],
-            self._p(starts, _I64), self._p(x, _F64), self._p(out, _F64),
-        )
-
-    def seg_max(self, starts: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-        self._lib.seg_max(
-            starts.shape[0], x.shape[0], x.shape[1],
-            self._p(starts, _I64), self._p(x, _F64), self._p(out, _F64),
-        )
 
     def spmm(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
              x: np.ndarray, out: np.ndarray) -> None:
@@ -132,26 +116,12 @@ class FusionLib:
             self._p(pmask, _U8), self._p(counts, _F64),
         )
 
-    def bias_relu(self, bias: np.ndarray, h: np.ndarray, mask: np.ndarray) -> None:
-        self._lib.bias_relu(
-            h.shape[0], h.shape[1],
-            self._p(bias, _F64), self._p(h, _F64), self._p(mask, _U8),
-        )
-
     def relu_bwd(self, g: np.ndarray, mask: np.ndarray, ga: np.ndarray,
                  bias_grad: np.ndarray) -> None:
         self._lib.relu_bwd(
             g.shape[0], g.shape[1],
             self._p(g, _F64), self._p(mask, _U8),
             self._p(ga, _F64), self._p(bias_grad, _F64),
-        )
-
-    def maxpool_tail(self, gids: np.ndarray, h: np.ndarray, pooled: np.ndarray,
-                     pmask: np.ndarray, counts: np.ndarray) -> None:
-        self._lib.maxpool_tail(
-            h.shape[0], h.shape[1], pooled.shape[0],
-            self._p(gids, _I64), self._p(h, _F64), self._p(pooled, _F64),
-            self._p(pmask, _U8), self._p(counts, _F64),
         )
 
     def gh_accum(self, gids: np.ndarray, ready_inv: np.ndarray,

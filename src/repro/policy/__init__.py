@@ -22,6 +22,7 @@ from repro.policy.codec import (
     STATUS_OK,
     STATUS_RETRY_AFTER,
     STATUS_TIMEOUT,
+    WIRE_VERSION,
     CodecError,
     DecisionReply,
     DecisionRequest,
@@ -59,6 +60,7 @@ __all__ = [
     "STATUS_TIMEOUT",
     "SchedulerPolicy",
     "StreamingEpisodeRecord",
+    "WIRE_VERSION",
     "action_for_task",
     "agent_policy_from_checkpoint",
     "checkpoint_fingerprint",

@@ -4,7 +4,7 @@
 the same surface the socket :class:`~repro.serve.client.RemoteClient`
 exposes — ``decide``/``decide_many`` plus ``stats``/``close`` — so an
 environment-driven evaluation loop can run against either without changing a
-line.  Every observation round-trips through the JSON codec first: the local
+line.  Every observation round-trips through the wire codec first: the local
 client then exercises *the identical numeric path* the wire does, which is
 what makes "local vs remote greedy evaluation is row-identical" a
 by-construction property rather than a coincidence.

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.policy.codec import (
     STATUS_OK,
     STATUS_RETRY_AFTER,
+    WIRE_VERSION,
     DecisionRequest,
     decode_reply,
     encode_request,
@@ -143,7 +144,12 @@ class RemoteClient:
 
     def _open_session(self) -> None:
         reply = self._rpc(
-            {"op": protocol.OP_OPEN, "model": self._model, "mode": self._mode},
+            {
+                "op": protocol.OP_OPEN,
+                "model": self._model,
+                "mode": self._mode,
+                "wire": WIRE_VERSION,
+            },
             protocol.OP_OPENED,
         )
         self._session = reply["session"]

@@ -2,19 +2,22 @@
 
 One frame = one JSON object = one ``\\n``-terminated line (newline-delimited
 JSON).  The format was chosen for debuggability — a session transcript is
-readable with ``nc``/``socat`` and greppable as text — and because Python's
-``json`` round-trips every finite float bitwise (shortest-repr encoding),
-which the row-identity guarantee of remote evaluation rests on.
+readable with ``nc``/``socat`` and greppable as text.  Observation arrays do
+not travel as JSON numbers: :mod:`repro.policy.codec` packs each observation
+into one base64 little-endian buffer inside the frame, so the raw float64
+bytes cross the wire and the row-identity of remote evaluation holds by
+construction.
 
 Frames carry an ``op`` field naming the verb; the closed vocabulary is the
 ``OP_*`` constants below.  See DESIGN.md §13 for the full exchange grammar.
 
 Frames larger than :data:`MAX_FRAME` bytes are a protocol violation: the
 server replies with an error frame and closes the connection (a bound is
-required — ``readline`` on an unbounded stream is a memory DoS).  The limit
-comfortably fits the observations of the largest instances the repo builds
-(a dense window adjacency of ~1500 nodes) while staying far below typical
-process limits.
+required — ``readline`` on an unbounded stream is a memory DoS).  A dense
+adjacency entry costs ~10.7 bytes on the wire (8 bytes, base64-inflated by
+4/3), so the limit fits a dense window of ~870 nodes; a CSR window pays
+~16 bytes per stored entry and fits far larger ones.  Both stay far below
+typical process limits.
 """
 
 from __future__ import annotations

@@ -70,6 +70,7 @@ from repro.policy.codec import (
     STATUS_OK,
     STATUS_RETRY_AFTER,
     STATUS_TIMEOUT,
+    WIRE_VERSION,
     CodecError,
     DecisionReply,
     DecisionRequest,
@@ -346,6 +347,13 @@ class DecisionServer:
     ) -> Dict[str, Any]:
         if self._draining:
             return {"op": protocol.OP_ERROR, "detail": "server is draining"}
+        wire = frame.get("wire", WIRE_VERSION)  # absent: the current version
+        if wire != WIRE_VERSION:
+            return {
+                "op": protocol.OP_ERROR,
+                "detail": f"unsupported wire version {wire!r}; this server "
+                f"speaks wire version {WIRE_VERSION}",
+            }
         model = frame.get("model") or {"kind": "default"}
         if not isinstance(model, dict):
             return {
@@ -391,7 +399,12 @@ class DecisionServer:
         self.counters["sessions_opened_total"] += 1
         if obs.METRICS.enabled:
             obs.METRICS.counter("serve/sessions_opened").inc()
-        return {"op": protocol.OP_OPENED, "session": sid, "group": group}
+        return {
+            "op": protocol.OP_OPENED,
+            "session": sid,
+            "group": group,
+            "wire": WIRE_VERSION,
+        }
 
     def _handle_reset(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         session = self._sessions.get(frame.get("session"))
@@ -418,11 +431,13 @@ class DecisionServer:
             request = decode_request(frame)
         except CodecError as exc:
             self.counters["error_total"] += 1
+            seq = frame.get("seq")
             self._send_reply(
                 writer,
                 DecisionReply(
                     session=str(frame.get("session") or "?"),
-                    seq=int(frame.get("seq") or -1),
+                    # echo an integer seq (0 included); anything else as -1
+                    seq=seq if type(seq) is int else -1,
                     status=STATUS_ERROR,
                     detail=str(exc),
                 ),

@@ -1,10 +1,12 @@
 """DecisionServer end-to-end: row-identity, concurrency, robustness."""
 
+import dataclasses
 import json
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.graphs.cholesky import cholesky_dag
@@ -23,8 +25,9 @@ from repro.serve import protocol
 from repro.serve.client import RemoteClient, ServeError
 from repro.serve.server import DecisionServer, _Session
 from repro.sim.env import SchedulingEnv
+from repro.sim.state import Observation
 from repro.spec import ExperimentSpec, ServeSpec
-from repro.policy.codec import DecisionRequest, encode_request
+from repro.policy.codec import WIRE_VERSION, DecisionRequest, encode_request
 
 
 def make_env(tiles=3, rng=0):
@@ -32,6 +35,12 @@ def make_env(tiles=3, rng=0):
         cholesky_dag(tiles), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),
         window=2, rng=rng,
     )
+
+
+def with_fields(obs, **changes):
+    """A plain :class:`Observation` copy of ``obs`` with ``changes`` applied."""
+    values = {f.name: getattr(obs, f.name) for f in dataclasses.fields(Observation)}
+    return Observation(**{**values, **changes})
 
 
 def raw_connect(endpoint):
@@ -95,6 +104,51 @@ class TestProtocolSurface:
                 assert reply["op"] == "error"
                 assert "exceeds" in reply["detail"]
             assert fh.readline() == b""
+
+    @staticmethod
+    def exchange(sock, *frames):
+        """Send ``frames`` and read one reply frame per frame sent."""
+        fh = sock.makefile("rwb")
+        for frame in frames:
+            fh.write(protocol.encode_frame(frame))
+        fh.flush()
+        return [json.loads(fh.readline()) for _ in frames]
+
+    def test_opened_advertises_the_wire_version(self, serve_factory):
+        running = serve_factory()
+        model = {"kind": "scheduler", "name": "fifo"}
+        with raw_connect(running.endpoint) as sock:
+            bare, current, other = self.exchange(
+                sock,
+                {"op": "open", "model": model},  # no version: the current one
+                {"op": "open", "model": model, "wire": WIRE_VERSION},
+                {"op": "open", "model": model, "wire": 1},
+            )
+        assert bare["op"] == current["op"] == "opened"
+        assert bare["wire"] == current["wire"] == WIRE_VERSION
+        assert other["op"] == "error"
+        assert "wire version 1" in other["detail"]
+
+    @pytest.mark.parametrize("seq, echoed", [(0, 0), (7, 7), ("x", -1), (None, -1), (1.5, -1)])
+    def test_undecodable_decide_gets_an_error_reply_and_the_connection_stays(
+        self, serve_factory, seq, echoed
+    ):
+        running = serve_factory()
+        with raw_connect(running.endpoint) as sock:
+            opened, reply, pong = self.exchange(
+                sock,
+                {"op": "open", "model": {"kind": "scheduler", "name": "fifo"}},
+                {"op": "decide", "session": "s?", "seq": seq, "obs": {}},
+                {"op": "ping"},
+            )
+            assert opened["op"] == "opened"
+            assert reply["op"] == "decision"
+            assert reply["status"] == "error"
+            assert reply["seq"] == echoed
+            assert pong == {"op": "pong"}
+            # the session the connection owns survived the bad frame
+            (stats,) = self.exchange(sock, {"op": "stats"})
+            assert stats["sessions"] == 1
 
     def test_open_unknown_scheduler_is_rejected(self, serve_factory):
         running = serve_factory()
@@ -424,10 +478,8 @@ class TestQueueSemantics:
         async def scenario(server, writer):
             server._sessions["s1"].policy = Picky()
             good = self.decide_frame(obs, seq=1)
-            bad = self.decide_frame(obs, seq=2)
-            bad["obs"]["ready_tasks"] = [10_000] * len(
-                bad["obs"]["ready_tasks"]
-            )
+            marked = np.full_like(obs.ready_tasks, 10_000)
+            bad = self.decide_frame(with_fields(obs, ready_tasks=marked), seq=2)
             server._handle_decide(good, writer)
             server._handle_decide(bad, writer)
             # the shared decide_many raises → per-request fallback isolates it
@@ -452,12 +504,13 @@ class TestQueueSemantics:
 
         async def scenario(server, writer):
             server._sessions["s1"].policy = policy
-            bad = self.decide_frame(obs, seq=2)
-            rows = bad["obs"]["adj"]["data"]
+            rows = obs.norm_adj
+            rows = rows.toarray() if hasattr(rows, "toarray") else rows
             m = len(rows) + delta
-            bad["obs"]["adj"]["data"] = [
-                (row + [0.0] * m)[:m] for row in (rows + [[]] * m)[:m]
-            ]
+            resized = np.zeros((m, m))
+            k = min(m, len(rows))
+            resized[:k, :k] = rows[:k, :k]
+            bad = self.decide_frame(with_fields(obs, norm_adj=resized), seq=2)
             for frame in (self.decide_frame(obs, seq=1), bad, self.decide_frame(obs, seq=3)):
                 server._handle_decide(frame, writer)
             server._flush([server._queue.popleft() for _ in range(len(server._queue))])
