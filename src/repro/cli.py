@@ -442,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "terminal = the paper's eq. 1 exactly; "
                               "jct/slowdown/makespan = streaming modes "
                               "(require an arrival process)")
-    p_train.add_argument("--sparse-state", action="store_true",
-                         help="CSR window adjacency (large instances)")
     p_train.add_argument("--num-envs", type=int, default=1,
                          help="K lockstep environments per update "
                               "(batched rollouts; 1 = historical loop)")

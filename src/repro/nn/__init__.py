@@ -28,7 +28,6 @@ from repro.nn.layers import (
     GCNConv,
     GCNStack,
     gcn_normalize_adjacency,
-    block_diag_adjacency,
 )
 from repro.nn.optim import Optimizer, SGD, Adam, RMSprop, clip_grad_norm
 from repro.nn.serialization import save_state_dict, load_state_dict
@@ -59,7 +58,6 @@ __all__ = [
     "GCNConv",
     "GCNStack",
     "gcn_normalize_adjacency",
-    "block_diag_adjacency",
     "Optimizer",
     "SGD",
     "Adam",

@@ -73,18 +73,17 @@ def csr_matmul_out(
 def _gcn_stack(
     weights: Sequence[np.ndarray],
     feats: np.ndarray,
-    adj: Any,
+    adj: Tuple[np.ndarray, np.ndarray, np.ndarray],
     fu: Optional[fusion.FusionLib],
     alloc: Allocator,
     keep: bool,
 ) -> Tuple[List[np.ndarray], List[Optional[np.ndarray]]]:
-    """Every GCN layer ``relu(Â (h W) + b)``; ``adj`` is a dense ``Â`` or
-    its ``(indptr, indices, data)`` CSR parts.  Returns the layer outputs and
+    """Every GCN layer ``relu(Â (h W) + b)``; ``adj`` is ``Â``'s
+    ``(indptr, indices, data)`` CSR parts.  Returns the layer outputs and
     their ReLU masks (``None`` where no kernel formed one and ``keep`` is
     off)."""
     m = feats.shape[0]
-    sparse = isinstance(adj, tuple)
-    fused = fu is not None and sparse
+    fused = fu is not None
     h = feats
     layers: List[np.ndarray] = []
     masks: List[Optional[np.ndarray]] = []
@@ -97,10 +96,7 @@ def _gcn_stack(
         if fused:
             fu.spmm_bias_relu(*adj, b, hw, h, mask)
         else:
-            if sparse:
-                csr_matmul_out(*adj, hw, h)
-            else:
-                np.matmul(adj, hw, out=h)
+            csr_matmul_out(*adj, hw, h)
             np.add(h, b, out=h)
             if mask is not None:
                 np.greater(h, 0.0, out=mask)
@@ -225,26 +221,26 @@ def batch_forward(
 def single_forward(
     weights: Sequence[np.ndarray],
     features: np.ndarray,
-    norm_adj: Any,
+    adj_parts: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ready_positions: np.ndarray,
     proc_features: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(logits, value)`` of one observation, mirroring ``ReadysAgent.forward``
-    op for op: a dense or CSR ``norm_adj``, ``sum(axis=0) / m`` and
+    op for op: the ``(data, indices, indptr)`` CSR parts of ``norm_adj``
+    (``Observation.adjacency_parts()``), ``sum(axis=0) / m`` and
     ``max(axis=0)`` pools.  ``proc_features`` is None when ∅ is illegal."""
     feats = np.asarray(features, dtype=np.float64)
     m = feats.shape[0]
-    if norm_adj.shape != (m, m):
-        raise ValueError(f"feature rows {m} != adjacency size {norm_adj.shape[0]}")
-    if sp.issparse(norm_adj):
-        # csr_matvecs reads raw buffers: contiguous, float64 values
-        csr = norm_adj.tocsr()
-        norm_adj = (
-            np.ascontiguousarray(csr.indptr),
-            np.ascontiguousarray(csr.indices),
-            np.ascontiguousarray(csr.data, dtype=np.float64),
-        )
-    layers, _ = _gcn_stack(weights, feats, norm_adj, None, _fresh, keep=False)
+    data, indices, indptr = adj_parts
+    if indptr.size - 1 != m:
+        raise ValueError(f"feature rows {m} != adjacency size {indptr.size - 1}")
+    # csr_matvecs reads raw buffers: contiguous, float64 values
+    adj = (
+        np.ascontiguousarray(indptr),
+        np.ascontiguousarray(indices),
+        np.ascontiguousarray(data, dtype=np.float64),
+    )
+    layers, _ = _gcn_stack(weights, feats, adj, None, _fresh, keep=False)
     h = layers[-1]
     w_task, b_task, w_pass, b_pass, w_value, b_value = weights[-6:]
     value = (h.sum(axis=0) / float(m)) @ w_value + b_value

@@ -15,11 +15,13 @@ self-connections added.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.nn import init as nn_init
+from repro.nn.sparse import sparse_matmul
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedLike, as_generator
 
@@ -223,37 +225,12 @@ def gcn_normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def block_diag_adjacency(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense block-diagonal matrix from per-graph (normalised) adjacencies.
-
-    Stacking K window sub-DAGs into one disconnected graph lets a single
-    :class:`GCNStack` call process the whole batch: messages cannot cross the
-    zero off-diagonal blocks, so each block's rows are exactly what K separate
-    forwards would produce.  For batches of small sparse windows prefer
-    :func:`repro.nn.sparse.block_diag_adjacency_sparse` — the dense form costs
-    O((Σmᵢ)²) per layer.
-    """
-    mats = [np.asarray(b, dtype=np.float64) for b in blocks]
-    if not mats:
-        raise ValueError("need at least one adjacency block")
-    for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"adjacency blocks must be square, got shape {m.shape}")
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=np.float64)
-    offset = 0
-    for m in mats:
-        n = m.shape[0]
-        out[offset: offset + n, offset: offset + n] = m
-        offset += n
-    return out
-
-
 class GCNConv(Module):
     """One graph-convolution layer: ``H' = φ(Â H W + b)``.
 
-    ``Â`` (the normalised adjacency) is an episode-level constant computed by
-    :func:`gcn_normalize_adjacency`; it is passed to :meth:`forward` per call
+    ``Â`` (the normalised adjacency, a ``scipy.sparse`` CSR matrix from
+    :func:`repro.nn.sparse.gcn_normalize_adjacency_sparse`) is an
+    episode-level constant; it is passed to :meth:`forward` per call
     because the windowed sub-DAG changes at every scheduling decision.
     """
 
@@ -274,18 +251,12 @@ class GCNConv(Module):
         )
         self.bias = Parameter(nn_init.zeros(out_features)) if bias else None
 
-    def forward(self, h: Tensor, norm_adj) -> Tensor:
+    def forward(self, h: Tensor, norm_adj: sp.spmatrix) -> Tensor:
         if h.shape[0] != norm_adj.shape[0]:
             raise ValueError(
                 f"feature rows {h.shape[0]} != adjacency size {norm_adj.shape[0]}"
             )
-        hw = h @ self.weight
-        if isinstance(norm_adj, np.ndarray):
-            out = Tensor(norm_adj) @ hw
-        else:  # scipy sparse matrix (see repro.nn.sparse)
-            from repro.nn.sparse import sparse_matmul
-
-            out = sparse_matmul(norm_adj, hw)
+        out = sparse_matmul(norm_adj, h @ self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out
@@ -322,7 +293,7 @@ class GCNStack(Module):
     def num_layers(self) -> int:
         return len(self.convs)
 
-    def forward(self, h: Tensor, norm_adj: np.ndarray) -> Tensor:
+    def forward(self, h: Tensor, norm_adj: sp.spmatrix) -> Tensor:
         for i, conv in enumerate(self.convs):
             h = conv(h, norm_adj)
             if i < len(self.convs) - 1:

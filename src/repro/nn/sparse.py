@@ -1,11 +1,12 @@
-"""Sparse-adjacency support for the GCN (large-window scaling).
+"""CSR adjacency support for the GCN.
 
-The windowed sub-DAG of a decision has m ≤ n nodes; the dense normalised
-adjacency costs O(m²) memory and O(m²·h) per GCN layer.  Factorization DAGs
-are sparse (average degree ≈ 3–4), so a CSR adjacency drops the layer cost
-to O(nnz·h).  For the paper's sizes (m ≈ 45 on average) dense is fine; for
-T ≳ 12 windows grow into the hundreds and sparse wins — measured in
-``benchmarks/test_ablation_sparse.py``.
+The window sub-DAG of a decision has m ≤ n nodes, and factorization DAGs
+are sparse (average degree ≈ 3–4), so the normalised window adjacency is
+CSR everywhere: the state builder emits it, observations carry it, the wire
+ships it and every forward multiplies by it at O(nnz·h) per layer.  At the
+paper's sizes (m ≈ 45 on average) a dense matrix would cost about the same;
+windows of the T ≳ 12 instances grow into the hundreds of nodes
+(``benchmarks/test_ablation_sparse.py`` times one decision per size).
 
 The sparse matrix is an episode constant (never differentiated); only the
 dense feature operand carries gradients, with ``∂(A·H)/∂H = Aᵀ·g``.
@@ -13,87 +14,65 @@ dense feature operand carries gradients, with ``∂(A·H)/∂H = Aᵀ·g``.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse as sp
 
 from repro.nn.tensor import Tensor
 
-AdjacencyLike = Union[np.ndarray, sp.spmatrix]
-
-def csr_parts(b: AdjacencyLike) -> tuple:
-    """(data, int32 cols, int32 per-row counts, size) of one square block."""
-    if sp.issparse(b):
-        csr = b.tocsr()
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(
-                f"adjacency blocks must be square, got shape {csr.shape}"
-            )
-        return (
-            np.asarray(csr.data, dtype=np.float64),
-            np.asarray(csr.indices, dtype=np.int32),
-            np.asarray(np.diff(csr.indptr), dtype=np.int32),
-            csr.shape[0],
-        )
-    arr = np.asarray(b, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"adjacency blocks must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"adjacency blocks must be square, got shape {arr.shape}")
-    rows, cols = np.nonzero(arr)
-    return (
-        arr[rows, cols],
-        cols.astype(np.int32),
-        np.bincount(rows, minlength=arr.shape[0]).astype(np.int32),
-        arr.shape[0],
-    )
-
 
 def block_diag_parts(parts: Sequence[tuple]) -> tuple:
-    """``(data, int32 cols, int32 indptr)`` of the block-diagonal CSR matrix
-    of per-block :func:`csr_parts` tuples.
+    """``(data, int32 indices, int32 indptr)`` of the block-diagonal CSR
+    matrix of square blocks given as ``(data, indices, indptr)`` parts.
 
     Block rows stay contiguous, so the result is a concatenation of the
-    per-block (data, shifted cols, row counts).  scipy's generic
-    ``block_diag`` routes every block through COO conversion, which
+    per-block entries with shifted columns and row pointers.  scipy's
+    generic ``block_diag`` routes every block through COO conversion, which
     dominates batched-forward time for many small blocks.
     """
     if not parts:
         raise ValueError("need at least one adjacency block")
-    sizes = np.fromiter((p[3] for p in parts), dtype=np.int32, count=len(parts))
-    offsets = np.zeros(len(parts), dtype=np.int32)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    nnz = np.fromiter((p[1].size for p in parts), dtype=np.int64, count=len(parts))
-    cols = np.concatenate([p[1] for p in parts]) + np.repeat(offsets, nnz)
+    k = len(parts)
+    sizes = np.fromiter((p[2].size - 1 for p in parts), dtype=np.int64, count=k)
+    nnz = np.fromiter((p[1].size for p in parts), dtype=np.int64, count=k)
     # int32 is scipy's native index dtype — int64 inputs would be converted
-    # (copied) inside the constructor on every batched forward.
-    counts = np.concatenate([p[2] for p in parts])
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return np.concatenate([p[0] for p in parts]), cols, indptr
+    # (copied) inside the kernels on every batched forward.
+    node_offsets = np.zeros(k, dtype=np.int32)
+    np.cumsum(sizes[:-1], out=node_offsets[1:])
+    entry_offsets = np.zeros(k, dtype=np.int32)
+    np.cumsum(nnz[:-1], out=entry_offsets[1:])
+    indices = np.concatenate([p[1] for p in parts]) + np.repeat(node_offsets, nnz)
+    indptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int32)
+    indptr[1:] = np.concatenate([p[2][1:] for p in parts]) + np.repeat(entry_offsets, sizes)
+    return np.concatenate([p[0] for p in parts]), indices, indptr
 
 
-def block_diag_csr(parts: Sequence[tuple]) -> sp.csr_matrix:
-    """CSR block-diagonal matrix from per-block :func:`csr_parts` tuples."""
-    data, cols, indptr = block_diag_parts(parts)
-    total = indptr.size - 1
-    return sp.csr_matrix((data, cols, indptr), shape=(total, total))
+def block_diag_adjacency_sparse(blocks: Sequence[sp.spmatrix]) -> sp.csr_matrix:
+    """CSR block-diagonal matrix from per-graph sparse adjacencies.
 
-
-def block_diag_adjacency_sparse(blocks: Sequence[AdjacencyLike]) -> sp.csr_matrix:
-    """CSR block-diagonal matrix from per-graph adjacencies (dense or sparse).
-
-    The batched-GCN companion of
-    :func:`repro.nn.layers.block_diag_adjacency`: one sparse matmul over the
-    block-diagonal costs O(Σ nnzᵢ · h) regardless of batch size, so K window
-    forwards collapse into one without the dense form's O((Σmᵢ)²) blow-up.
-    Mixed dense/CSR inputs are accepted — a batch may contain observations
-    from dense- and sparse-mode state builders.
+    Stacking K window sub-DAGs into one disconnected graph lets a single
+    GCN pass process the whole batch: messages cannot cross the empty
+    off-diagonal blocks, and one sparse matmul costs O(Σ nnzᵢ · h)
+    regardless of batch size.
     """
-    if not blocks:
-        raise ValueError("need at least one adjacency block")
-    return block_diag_csr([csr_parts(b) for b in blocks])
+    parts = []
+    for b in blocks:
+        if not sp.issparse(b):
+            raise ValueError(
+                f"adjacency blocks must be scipy sparse matrices, got {type(b).__name__}"
+            )
+        if b.shape[0] != b.shape[1]:
+            raise ValueError(f"adjacency blocks must be square, got shape {b.shape}")
+        csr = b.tocsr()
+        parts.append((
+            np.asarray(csr.data, dtype=np.float64),
+            csr.indices.astype(np.int32, copy=False),
+            csr.indptr.astype(np.int32, copy=False),
+        ))
+    data, indices, indptr = block_diag_parts(parts)
+    total = indptr.size - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(total, total))
 
 
 def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
@@ -129,21 +108,16 @@ def transpose_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
     return transpose
 
 
-def gcn_normalize_adjacency_sparse(adjacency: AdjacencyLike) -> sp.csr_matrix:
+def gcn_normalize_adjacency_sparse(adjacency) -> sp.csr_matrix:
     """Sparse ``D̃^{-1/2} Ã D̃^{-1/2}`` with symmetrisation and self-loops.
 
     Accepts a dense 0/1 matrix or any scipy sparse matrix; returns CSR.
     Matches :func:`repro.nn.layers.gcn_normalize_adjacency` numerically.
     """
-    if sp.issparse(adjacency):
-        a = adjacency.tocsr().astype(np.float64)
-    else:
-        arr = np.asarray(adjacency, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {arr.shape}")
-        a = sp.csr_matrix(arr)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    shape = np.shape(adjacency)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {shape}")
+    a = sp.csr_matrix(adjacency, dtype=np.float64)
     n = a.shape[0]
     sym = a + a.T
     sym.data = np.ones_like(sym.data)  # binarise

@@ -9,17 +9,20 @@ Observation payload (wire version :data:`WIRE_VERSION`)
 -------------------------------------------------------
 An observation travels as one base64 field, ``buf``, holding one
 little-endian buffer: a float64 region (``features`` row-major,
-``proc_features``, then the adjacency values — the dense matrix row-major
-or the CSR ``data``) followed by an int64 region (``ready_positions``,
-``ready_tasks``) and, for CSR, an int32 region (``indices``, ``indptr``).
-Small JSON fields next to it carry the sizes (``features: [m, F]``,
-``proc_features``, ``ready_positions``, ``ready_tasks``), the adjacency
-header (``{"format": "dense"|"csr", "shape": [m, m], "nnz"}``),
-``current_proc``, ``allow_pass``, ``extra_node_features`` (only when set)
-and ``wire``.  Decoding is one strict base64 decode plus ``np.frombuffer``
-views, so every decoded array is read-only.  A payload without ``wire`` is
-the JSON float-list format of version 1, and is refused with a
-:class:`CodecError` that names both versions.
+``proc_features``, then the CSR adjacency ``data``) followed by an int64
+region (``ready_positions``, ``ready_tasks``) and an int32 region (the CSR
+``indices`` and ``indptr``).  Small JSON fields next to it carry the sizes
+(``features: [m, F]``, ``proc_features``, ``ready_positions``,
+``ready_tasks``), the adjacency header (``{"format": "csr", "shape":
+[m, m], "nnz"}``), ``current_proc``, ``allow_pass``,
+``extra_node_features`` (only when set) and ``wire``.  Decoding is one
+strict base64 decode plus ``np.frombuffer`` views, so every decoded array
+is read-only, and the decoded observation holds the adjacency as those CSR
+parts (``norm_adj`` becomes a matrix only when read).  CSR is the only
+adjacency format: a ``"dense"`` header is refused with a
+:class:`CodecError`.  A payload without ``wire`` is the JSON float-list
+format of version 1, and is refused with a :class:`CodecError` that names
+both versions.
 
 Exactness
 ---------
@@ -35,12 +38,13 @@ Hardening
 The forward's spmm kernels index rows by a served adjacency unchecked, so
 the decoder refuses, before any array reaches them: size fields that are
 negative or disagree with the buffer length, an adjacency whose shape is
-not ``(m, m)`` for the ``m`` feature rows, a CSR that fails scipy's full
-format check or whose ``indptr`` does not run from 0 up to ``nnz``
-without decreasing, an empty or ragged ready set, and ready positions
-outside the window.  The encoder range-checks CSR index arrays before
-narrowing them to int32, so a wide index cannot wrap into a valid-looking
-one.
+not ``(m, m)`` for the ``m`` feature rows, an ``indptr`` that does not
+run from 0 up to ``nnz`` without decreasing, a column index outside the
+window (scipy's full format check, plus the first and last row pointer,
+tested directly on the arrays), an empty or ragged ready set, and ready
+positions outside the window.  The encoder range-checks CSR index arrays
+before narrowing them to int32, so a wide index cannot wrap into a
+valid-looking one.
 
 The process-local ``window_fingerprint`` is deliberately *not* serialised: it
 keys the producing process's state-builder adjacency memo and must never leak
@@ -144,31 +148,22 @@ def encode_observation(obs: Observation) -> Dict[str, Any]:
     if features.ndim != 2:
         raise CodecError("features must be a 2-D array")
     proc = _finite(obs.proc_features, "proc_features").ravel()
-    adj = obs.norm_adj
-    ints32: tuple = ()
-    if isinstance(adj, np.ndarray):
-        values = _finite(adj, "norm_adj")
-        if values.ndim != 2:
-            raise CodecError("dense adjacency must be 2-D")
-        adj_head: Dict[str, Any] = {"format": "dense"}
-    else:  # scipy CSR (the sparse_state builder mode)
-        values = _finite(adj.data, "norm_adj.data")
-        ints32 = (
-            _int32(adj.indices, "norm_adj.indices"),
-            _int32(adj.indptr, "norm_adj.indptr"),
-        )
-        adj_head = {"format": "csr", "nnz": int(values.size)}
-    adj_head["shape"] = [int(adj.shape[0]), int(adj.shape[1])]
+    data, indices, indptr = obs.adjacency_parts()
+    values = _finite(data, "norm_adj.data")
+    m = int(indptr.size) - 1
     positions = np.ascontiguousarray(obs.ready_positions, dtype="<i8")
     tasks = np.ascontiguousarray(obs.ready_tasks, dtype="<i8")
-    parts = (features, proc, values, positions, tasks) + ints32
+    parts = (
+        features, proc, values, positions, tasks,
+        _int32(indices, "norm_adj.indices"), _int32(indptr, "norm_adj.indptr"),
+    )
     payload: Dict[str, Any] = {
         "wire": WIRE_VERSION,
         "features": [int(features.shape[0]), int(features.shape[1])],
         "proc_features": int(proc.size),
         "ready_positions": int(positions.size),
         "ready_tasks": int(tasks.size),
-        "adj": adj_head,
+        "adj": {"format": "csr", "shape": [m, m], "nnz": int(values.size)},
         "current_proc": int(obs.current_proc),
         "allow_pass": bool(obs.allow_pass),
         "buf": base64.b64encode(b"".join(a.tobytes() for a in parts)).decode("ascii"),
@@ -215,10 +210,14 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
         n_tasks = _size(payload["ready_tasks"], "ready_tasks")
         adj_head = payload["adj"]
         fmt = adj_head["format"]
-        if fmt not in ("dense", "csr"):
-            raise CodecError(f"unknown adjacency format {fmt!r}")
+        if fmt != "csr":
+            what = (
+                "the dense adjacency format is no longer accepted" if fmt == "dense"
+                else f"unknown adjacency format {fmt!r}"
+            )
+            raise CodecError(f"{what}; CSR is the only format")
         shape = _shape(adj_head["shape"], "adj.shape")
-        nnz = _size(adj_head["nnz"], "adj.nnz") if fmt == "csr" else shape[0] * shape[1]
+        nnz = _size(adj_head["nnz"], "adj.nnz")
         raw = base64.b64decode(payload["buf"], validate=True)
         current_proc = int(payload["current_proc"])
         allow_pass = bool(payload["allow_pass"])
@@ -234,7 +233,7 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
         )
     n_float = m * f + n_proc + nnz
     n_i64 = n_pos + n_tasks
-    n_i32 = nnz + m + 1 if fmt == "csr" else 0
+    n_i32 = nnz + m + 1
     expected = 8 * (n_float + n_i64) + 4 * n_i32
     if len(raw) != expected:
         raise CodecError(
@@ -252,32 +251,23 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
         raise CodecError("ready_positions and ready_tasks length mismatch")
     if ready_positions.min() < 0 or ready_positions.max() >= m:
         raise CodecError("ready_positions out of window range")
-    values = floats[m * f + n_proc:]
-    if fmt == "dense":
-        norm_adj: Any = values.reshape(m, m)
-    else:
-        import scipy.sparse as sp
-
-        i32 = np.frombuffer(raw, "<i4", n_i32, 8 * (n_float + n_i64))
-        indptr = i32[nnz:]
-        try:
-            # scipy skips the monotonicity check when indptr[-1] == 0;
-            # compare neighbours rather than np.diff, whose int32
-            # subtraction wraps and hides a decreasing step
-            if (indptr[0] != 0 or indptr[-1] != nnz
-                    or (indptr[1:] < indptr[:-1]).any()):
-                raise ValueError(
-                    "indptr must run from 0 to nnz and never decrease"
-                )
-            norm_adj = sp.csr_matrix((values, i32[:nnz], indptr), shape=shape)
-            # the forward's spmm kernels index rows by these arrays
-            # unchecked: a column or row pointer out of range raises here
-            norm_adj.check_format(full_check=True)
-        except ValueError as exc:
-            raise CodecError(f"malformed observation payload: {exc}") from None
+    i32 = np.frombuffer(raw, "<i4", n_i32, 8 * (n_float + n_i64))
+    indices, indptr = i32[:nnz], i32[nnz:]
+    # the forward's spmm kernels index rows and columns by these arrays
+    # unchecked.  Neighbours are compared rather than np.diff taken, whose
+    # int32 subtraction wraps and hides a decreasing step.
+    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+        raise CodecError(
+            "malformed observation payload: indptr must run from 0 to nnz "
+            "and never decrease"
+        )
+    if nnz and (indices.min() < 0 or indices.max() >= m):
+        raise CodecError(
+            f"malformed observation payload: column indices must lie in [0, {m})"
+        )
     return Observation(
         features=floats[: m * f].reshape(m, f),
-        norm_adj=norm_adj,
+        norm_adj=(floats[m * f + n_proc:], indices, indptr),
         ready_positions=ready_positions,
         ready_tasks=ints[n_pos:],
         proc_features=floats[m * f: m * f + n_proc],

@@ -43,9 +43,9 @@ from repro import obs as _obs
 from repro.nn import functional as F
 from repro.nn.array_forward import batch_forward, single_forward
 from repro.nn.layers import GCNStack, Linear, Module
-from repro.nn.sparse import block_diag_parts, csr_parts
+from repro.nn.sparse import block_diag_parts
 from repro.nn.tensor import Tensor
-from repro.sim.state import BatchObservation, Observation, ObservationBatch
+from repro.sim.state import Observation, ObservationBatch
 from repro.utils.seeding import SeedLike, as_generator
 
 
@@ -69,6 +69,13 @@ class AgentConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.num_gcn_layers < 1:
             raise ValueError("num_gcn_layers must be >= 1")
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """``F.log_softmax``'s op sequence on an array: ``x - logsumexp(x)``
+    with a max shift."""
+    shift = logits.max(axis=-1, keepdims=True)
+    return logits - (np.log(np.exp(logits - shift).sum(axis=-1, keepdims=True)) + shift)
 
 
 def segment_argmax(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -288,17 +295,11 @@ class ReadysAgent(Module):
                 raise ValueError("observation has no ready task — not a decision point")
         feats = np.concatenate([o.features for o in obs_list], axis=0)
         graph_ids = np.repeat(np.arange(batch), sizes)
-        # CSR block-diagonal regardless of member format: one sparse matmul
-        # costs O(Σ nnz · h) while the dense form grows O((Σm)²).
-        parts = [
-            o.adjacency_parts() if isinstance(o, BatchObservation)
-            else csr_parts(o.norm_adj)
-            for o in obs_list
-        ]
+        parts = [o.adjacency_parts() for o in obs_list]
         for o, part in zip(obs_list, parts):
-            if part[3] != o.num_nodes:
+            if part[2].size - 1 != o.num_nodes:
                 raise ValueError(
-                    f"feature rows {o.num_nodes} != adjacency size {part[3]}"
+                    f"feature rows {o.num_nodes} != adjacency size {part[2].size - 1}"
                 )
         adj_data, adj_indices, adj_indptr = block_diag_parts(parts)
 
@@ -417,7 +418,7 @@ class ReadysAgent(Module):
         return single_forward(
             self._weights(),
             obs.features,
-            obs.norm_adj,
+            obs.adjacency_parts(),
             obs.ready_positions,
             obs.proc_features if obs.allow_pass else None,
         )
@@ -443,13 +444,16 @@ class ReadysAgent(Module):
             else None
         )
         logits, _ = self._forward_arrays(obs)
-        # F.softmax's op sequence: exp(x - logsumexp(x)), max-shifted
-        shift = logits.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(logits - shift).sum(axis=-1, keepdims=True)) + shift
-        probs = np.exp(logits - lse)
+        probs = np.exp(_log_softmax(logits))  # F.softmax's op sequence
         if handle is not None:
             tracer.end(handle)
         return probs
+
+    def log_policy(self, obs: Observation) -> Tuple[np.ndarray, float]:
+        """``(logπ(·|s), V(s))`` without the tape, bitwise equal to
+        ``F.log_softmax`` of :meth:`forward`'s logits and its value."""
+        logits, value = self._forward_arrays(obs)
+        return _log_softmax(logits), float(value[0])
 
     def sample_action(self, obs: Observation, rng: np.random.Generator) -> int:
         """Draw an action from π(a|s)."""

@@ -23,7 +23,7 @@ from repro import obs as obs_mod
 from repro.nn import TrainingCompiler
 from repro.nn import functional as F
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.rl.agent import BatchedForward, ReadysAgent
 from repro.sim.env import SchedulingEnv
 from repro.sim.state import Observation
@@ -170,13 +170,11 @@ class PPOTrainer:
 
     def _policy_stats(self, obs: Observation) -> tuple:
         """(action, logπ(action|s), V(s)) under the current policy, no grad."""
-        with no_grad():
-            logits, value = self.agent.forward(obs)
-            logp = F.log_softmax(logits).data
+        logp, value = self.agent.log_policy(obs)
         probs = np.exp(logp)
         probs = probs / probs.sum()
         action = int(self.rng.choice(len(probs), p=probs))
-        return action, float(logp[action]), float(value.data[0])
+        return action, float(logp[action]), value
 
     def collect_rollout(self) -> tuple:
         """Gather ``rollout_length`` transitions; returns (transitions, bootstrap)."""
@@ -198,9 +196,7 @@ class PPOTrainer:
         if transitions[-1].done:
             bootstrap = 0.0
         else:
-            with no_grad():
-                _, value = self.agent.forward(obs)
-            bootstrap = float(value.data[0])
+            bootstrap = self.agent.state_value(obs)
         return transitions, bootstrap
 
     def update(

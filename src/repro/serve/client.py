@@ -23,7 +23,6 @@ failed decision.
 from __future__ import annotations
 
 import itertools
-import json
 import socket
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -119,12 +118,8 @@ class RemoteClient:
     # -- wire helpers ---------------------------------------------------- #
 
     def _send(self, payload: Dict[str, Any]) -> None:
-        self._file.write(
-            json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode(
-                "utf-8"
-            )
-            + b"\n"
-        )
+        # framed (and size-checked) before any byte reaches the socket
+        self._file.write(protocol.encode_frame(payload))
 
     def _recv(self) -> Dict[str, Any]:
         line = self._file.readline(protocol.MAX_FRAME + 1)

@@ -13,11 +13,15 @@ Frames carry an ``op`` field naming the verb; the closed vocabulary is the
 
 Frames larger than :data:`MAX_FRAME` bytes are a protocol violation: the
 server replies with an error frame and closes the connection (a bound is
-required — ``readline`` on an unbounded stream is a memory DoS).  A dense
-adjacency entry costs ~10.7 bytes on the wire (8 bytes, base64-inflated by
-4/3), so the limit fits a dense window of ~870 nodes; a CSR window pays
-~16 bytes per stored entry and fits far larger ones.  Both stay far below
-typical process limits.
+required — ``readline`` on an unbounded stream is a memory DoS).  The
+adjacency travels as CSR: a stored entry costs ~16 bytes on the wire (an
+8-byte value and a 4-byte column, base64-inflated by 4/3), and a window
+row ~5.3 bytes for its row pointer plus ~10.7 per feature column.  A
+factorization window (~4 entries and ~20 feature columns per node) thus
+costs ~280 bytes per node, so the limit fits windows of ~30 000 nodes,
+far below typical process limits.  The client frames with
+:func:`encode_frame` too, so an oversized request raises
+:class:`FrameError` before any byte is sent.
 """
 
 from __future__ import annotations

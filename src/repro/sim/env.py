@@ -107,7 +107,6 @@ class SchedulingEnv:
         window: int = 2,
         rng: SeedLike = None,
         reward_mode: str = "dense",
-        sparse_state: bool = False,
     ) -> None:
         if reward_mode not in self.REWARD_MODES:
             raise ValueError(
@@ -120,7 +119,7 @@ class SchedulingEnv:
         self.durations = durations
         self.noise = noise if noise is not None else NoNoise()
         self.rng = as_generator(rng)
-        self.state_builder = StateBuilder(durations, window, sparse=sparse_state)
+        self.state_builder = StateBuilder(durations, window)
         self.sim: Optional[Simulation] = None
         self._passed: Optional[np.ndarray] = None
         self._current_obs: Optional[Observation] = None

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.graphs.durations import DurationTable
 from repro.graphs.features import (
@@ -64,15 +65,57 @@ def observation_feature_dim(num_types: int) -> int:
     return NUM_STATIC_FEATURES + 2 * num_types + NUM_DYNAMIC_FEATURES
 
 
+class _lazy:
+    """Compute-once attribute: the first read stores the value in the
+    instance dict, which then shadows this (non-data) descriptor, so later
+    reads and plain assignments are ordinary attribute accesses.  Read on
+    the class it raises ``AttributeError``, so as a dataclass field it has
+    no default."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = self.fn(obj)
+        obj.__dict__[self.name] = value
+        return value
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _matrix_of_parts(obs: "Observation") -> sp.csr_matrix:
+    """``norm_adj`` of an observation built from CSR parts (a batch view, a
+    decoded payload, the terminal stand-in): a matrix over the parts."""
+    data, indices, indptr = obs._adj_parts
+    m = indptr.size - 1
+    adj = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+    # scipy copies a small view of a larger buffer; keep it read-only
+    for part in (adj.data, adj.indices, adj.indptr):
+        _frozen(part)
+    return adj
+
+
 @dataclass
 class Observation:
     """One decision point of the scheduling MDP."""
 
     features: np.ndarray
     """(m, F) node features of the window sub-DAG"""
-    norm_adj: object
-    """(m, m) GCN-normalised adjacency of the window — a dense ndarray, or a
-    ``scipy.sparse.csr_matrix`` when the builder runs in sparse mode"""
+    norm_adj: sp.csr_matrix = _lazy(_matrix_of_parts)  # type: ignore[assignment]
+    """(m, m) GCN-normalised adjacency of the window as a
+    ``scipy.sparse.csr_matrix`` (build one from a 0/1 adjacency with
+    ``repro.nn.sparse.gcn_normalize_adjacency_sparse``).  The constructor
+    also takes its ``(data, int32 indices, int32 indptr)`` parts; the
+    matrix is then built on first read.  The forwards and the codec read
+    the parts through :meth:`adjacency_parts`."""
     ready_positions: np.ndarray
     """row indices (into ``features``) of the ready tasks, = the action set"""
     ready_tasks: np.ndarray
@@ -92,6 +135,29 @@ class Observation:
     consumers that index columns from the *end* of the base layout must
     subtract it (see ``GreedyScheduler.decide_observation``)"""
 
+    def __post_init__(self) -> None:
+        adj = self.__dict__["norm_adj"]
+        if isinstance(adj, tuple):
+            data, indices, indptr = adj
+            if not (data.dtype == np.float64 and indices.dtype == indptr.dtype == np.int32):
+                raise ValueError(
+                    "norm_adj parts must be (float64 data, int32 indices, "
+                    f"int32 indptr), got ({data.dtype}, {indices.dtype}, {indptr.dtype})"
+                )
+            self._adj_parts = adj
+            del self.__dict__["norm_adj"]  # built over the parts when read
+        else:
+            _check_sparse(adj)
+
+    def adjacency_parts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of ``norm_adj`` — the CSR parts the
+        forward and the codec read, without building a matrix."""
+        adj = self.__dict__.get("norm_adj")
+        if adj is None:
+            return self._adj_parts
+        _check_sparse(adj)
+        return adj.data, adj.indices, adj.indptr
+
     @property
     def num_actions(self) -> int:
         """Ready-task choices plus the ∅ action when legal."""
@@ -103,31 +169,24 @@ class Observation:
         return self.features.shape[0]
 
 
-class _lazy:
-    """Compute-once attribute: the first read stores the value in the
-    instance dict, which then shadows this (non-data) descriptor, so later
-    reads and plain assignments are ordinary attribute accesses."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        obj.__dict__[self.name] = value
-        return value
+def _check_sparse(adj: object) -> None:
+    if getattr(adj, "format", None) != "csr":
+        raise ValueError(
+            "norm_adj must be a scipy.sparse.csr_matrix (or its CSR parts), "
+            f"got {type(adj).__name__}; normalise a 0/1 window adjacency with "
+            "repro.nn.sparse.gcn_normalize_adjacency_sparse"
+        )
+    if adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"norm_adj must be square, got shape {adj.shape}")
 
 
 class BatchObservation(Observation):
     """Member ``index`` of an :class:`ObservationBatch`.
 
     The array fields are read from the batch on first access (``features``
-    is a slice of the batch's stacked features; ``norm_adj`` is assembled
-    from the batch's CSR in the builder's dense or sparse format), so a
-    member that is only stepped, never fed to a network, costs a few
-    scalar reads.
+    is a slice of the batch's stacked features; the adjacency parts are the
+    member's rows of the batch's CSR), so a member that is only stepped,
+    never fed to a network, costs a few scalar reads.
     """
 
     def __new__(cls, *args, **fields):
@@ -173,35 +232,17 @@ class BatchObservation(Observation):
         return self._batch.tasks[self._nodes()].tobytes()
 
     @_lazy
-    def norm_adj(self) -> object:
-        data, cols, counts, m = self.adjacency_parts()
-        if self._batch.sparse[self._index]:
-            from scipy import sparse as sp
-
-            indptr = np.zeros(m + 1, dtype=np.int32)
-            np.cumsum(counts, out=indptr[1:])
-            adj = sp.csr_matrix((data, cols, indptr), shape=(m, m))
-            for arr in (adj.data, adj.indices, adj.indptr):
-                arr.setflags(write=False)
-            return adj
-        dense = np.zeros((m, m), dtype=np.float64)
-        dense[np.repeat(np.arange(m), counts), cols] = data
-        dense.setflags(write=False)
-        return dense
-
-    def adjacency_parts(self) -> tuple:
-        """``(data, int32 cols, int32 row counts, size)`` of ``norm_adj`` as
-        CSR, sliced from the batch — the pieces a block-diagonal batch of
-        views concatenates (``repro.nn.sparse.csr_parts`` of ``norm_adj``)."""
+    def _adj_parts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member rows of the batch's block-diagonal CSR, as read-only views
+        (shifted copies for every member but the first)."""
         b, nodes = self._batch, self._nodes()
         indptr = b.adj_indptr[nodes.start: nodes.stop + 1]
         lo, hi = int(indptr[0]), int(indptr[-1])
-        return (
-            b.adj_data[lo:hi],
-            b.adj_indices[lo:hi] - np.int32(nodes.start),
-            np.diff(indptr),
-            nodes.stop - nodes.start,
-        )
+        indices = b.adj_indices[lo:hi]
+        if nodes.start:
+            indptr = indptr - np.int32(lo)
+            indices = indices - np.int32(nodes.start)
+        return _frozen(b.adj_data[lo:hi]), _frozen(indices), _frozen(indptr)
 
 
 class ObservationBatch(Sequence):
@@ -229,7 +270,6 @@ class ObservationBatch(Sequence):
         current_procs: np.ndarray,
         allow_pass: np.ndarray,
         proc_features: np.ndarray,
-        sparse: np.ndarray,
         extra_node_features: np.ndarray,
     ) -> None:
         self.feats = feats
@@ -258,8 +298,6 @@ class ObservationBatch(Sequence):
         self.allow_pass = allow_pass
         self.proc_features = proc_features
         """(K, PROC_FEATURE_DIM) processor descriptors"""
-        self.sparse = sparse
-        """(K,) whether member k's ``norm_adj`` view is CSR (else dense)"""
         self.extra_node_features = extra_node_features
 
     def __len__(self) -> int:
@@ -328,17 +366,11 @@ class StateBuilder:
     #: with extra columns cache theirs under their own key)
     _TEMPLATE_KEY = "_cached_feature_template"
 
-    def __init__(
-        self, durations: DurationTable, window: int, sparse: bool = False
-    ) -> None:
+    def __init__(self, durations: DurationTable, window: int) -> None:
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
         self.window = window
         self.durations = durations
-        #: hand out CSR ``norm_adj`` views instead of dense — O(edges)
-        #: instead of O(m²) per observation once windows reach hundreds of
-        #: tasks (the batch itself is CSR either way)
-        self.sparse = sparse
         # normalisation scale for all duration-valued features
         self._scale = float(durations.table.mean())
 
@@ -461,17 +493,8 @@ class StateBuilder:
         """
         template, _raw_width = self._feature_template(sim.graph)
         features = np.zeros((0, template.shape[1]), dtype=np.float64)
-        if self.sparse:
-            from repro.nn.sparse import (
-                edges_to_sparse_adjacency,
-                gcn_normalize_adjacency_sparse,
-            )
-
-            norm_adj = gcn_normalize_adjacency_sparse(
-                edges_to_sparse_adjacency(np.zeros((0, 2), dtype=np.int64), 0)
-            )
-        else:
-            norm_adj = np.zeros((0, 0), dtype=np.float64)
+        no_entries = np.empty(0, dtype=np.int32)
+        norm_adj = (np.empty(0), no_entries, np.zeros(1, dtype=np.int32))
         empty = np.empty(0, dtype=np.int64)
         proc_features = np.zeros(PROC_FEATURE_DIM, dtype=np.float64)
         proc_features[NUM_RESOURCE_TYPES] = 1.0  # every processor is idle
@@ -627,7 +650,6 @@ class _BatchLayout:
             raise ValueError(f"members disagree on window depth: {windows}")
         self.window = windows[0]
         self.scales = np.asarray([b._scale for b in builders], dtype=np.float64)
-        self.sparse = np.asarray([b.sparse for b in builders], dtype=bool)
         self.extra = np.asarray(
             [b.extra_node_features for b in builders], dtype=np.int64
         )
@@ -714,7 +736,7 @@ def build_observations(
       arrival age) patched by fancy indexing;
     * adjacency: one stacked-neighbour gather through a task → row remap,
       ``bincount`` degrees and ``data = inv[src] * inv[col]``, which equals
-      the dense and the sparse GCN normalisation bit for bit;
+      ``gcn_normalize_adjacency_sparse`` of the window bit for bit;
     * remaining times and processor descriptors: one pass per kernel.
 
     Every member's features, adjacency, ready set and descriptor are
@@ -807,6 +829,5 @@ def build_observations(
         current_procs=procs_arr,
         allow_pass=allow,
         proc_features=proc_features,
-        sparse=layout.sparse,
         extra_node_features=layout.extra,
     )

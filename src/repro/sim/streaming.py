@@ -310,7 +310,6 @@ class StreamingSchedulingEnv(SchedulingEnv):
         window: int = 2,
         rng: SeedLike = None,
         reward_mode: str = "jct",
-        sparse_state: bool = False,
         horizon_time: Optional[float] = None,
     ) -> None:
         if arrival is None:
@@ -339,12 +338,9 @@ class StreamingSchedulingEnv(SchedulingEnv):
             window=window,
             rng=rng,
             reward_mode=reward_mode,
-            sparse_state=sparse_state,
         )
         # swap in the job-aware builder (same width contract + 2 columns)
-        self.state_builder = JobStateBuilder(
-            workload.durations, window, sparse=sparse_state
-        )
+        self.state_builder = JobStateBuilder(workload.durations, window)
         self._pending_init = False
         self._episode_jobs = 0
         self._arrival_times = np.zeros(0, dtype=np.float64)

@@ -250,7 +250,6 @@ class ExperimentSpec:
     gpus: int = 2
     seed: int = 0
     window: int = 2
-    sparse_state: bool = False
     num_envs: int = 1
     reward_mode: str = "dense"
     checkpoint_every: int = 0
@@ -316,9 +315,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored, with two
-        refusals (``ValueError``) for keys that would otherwise change the
-        run without a word:
+        """Inverse of :meth:`to_dict`; unknown keys are ignored (among them
+        the retired dense/CSR state switch of older headers: every
+        observation adjacency is CSR), with two refusals (``ValueError``)
+        for keys that would otherwise change the run without a word:
 
         - ``workers`` other than 1, written while the multiprocess rollout
           pool existed, rather than silently becoming a single-process run
@@ -415,7 +415,6 @@ class ExperimentSpec:
                 window=self.window,
                 rng=self.seed if rng is None else rng,
                 reward_mode=self.reward_mode,
-                sparse_state=self.sparse_state,
                 horizon_time=wl_spec.horizon_time,
             )
         if wl_spec.name == "single":
@@ -433,7 +432,6 @@ class ExperimentSpec:
             window=self.window,
             rng=self.seed if rng is None else rng,
             reward_mode=self.reward_mode,
-            sparse_state=self.sparse_state,
         )
 
     def make_train_env(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import block_diag_adjacency, block_diag_adjacency_sparse
+from repro.nn import block_diag_adjacency_sparse
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import assert_grad_matches
@@ -15,48 +15,39 @@ def rng():
     return np.random.default_rng(11)
 
 
-class TestBlockDiagDense:
+class TestBlockDiagSparse:
     def test_two_blocks_placed_on_diagonal(self, rng):
-        a = rng.random((2, 2))
-        b = rng.random((3, 3))
-        out = block_diag_adjacency([a, b])
+        a = sp.csr_matrix(rng.random((2, 2)))
+        b = sp.csr_matrix(rng.random((3, 3)))
+        out = block_diag_adjacency_sparse([a, b]).toarray()
         assert out.shape == (5, 5)
-        np.testing.assert_array_equal(out[:2, :2], a)
-        np.testing.assert_array_equal(out[2:, 2:], b)
+        np.testing.assert_array_equal(out[:2, :2], a.toarray())
+        np.testing.assert_array_equal(out[2:, 2:], b.toarray())
         assert not out[:2, 2:].any() and not out[2:, :2].any()
 
     def test_single_block_is_copy(self, rng):
-        a = rng.random((4, 4))
-        out = block_diag_adjacency([a])
-        np.testing.assert_array_equal(out, a)
-        out[0, 0] = -1.0
-        assert a[0, 0] != -1.0  # no aliasing
+        a = sp.csr_matrix(rng.random((4, 4)))
+        out = block_diag_adjacency_sparse([a])
+        np.testing.assert_array_equal(out.toarray(), a.toarray())
+        assert not np.shares_memory(out.data, a.data)  # no aliasing
 
     def test_matches_scipy_block_diag(self, rng):
-        blocks = [rng.random((k, k)) for k in (1, 3, 2)]
-        np.testing.assert_array_equal(
-            block_diag_adjacency(blocks),
-            sp.block_diag([sp.csr_matrix(b) for b in blocks]).toarray(),
-        )
+        blocks = [sp.csr_matrix(rng.random((k, k)) * (rng.random((k, k)) < 0.5))
+                  for k in (1, 3, 2)]
+        out = block_diag_adjacency_sparse(blocks)
+        assert out.indices.dtype == out.indptr.dtype == np.int32
+        np.testing.assert_array_equal(out.toarray(), sp.block_diag(blocks).toarray())
 
-    def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            block_diag_adjacency([])
-
-    def test_non_square_raises(self, rng):
-        with pytest.raises(ValueError):
-            block_diag_adjacency([rng.random((2, 3))])
-
-
-class TestBlockDiagSparse:
-    def test_accepts_mixed_dense_and_csr(self, rng):
-        a = rng.random((2, 2))
+    def test_accepts_mixed_sparse_formats(self, rng):
+        a = sp.coo_matrix(rng.random((2, 2)))
         b = sp.csr_matrix(rng.random((3, 3)))
         out = block_diag_adjacency_sparse([a, b])
         assert sp.issparse(out) and out.format == "csr"
-        np.testing.assert_allclose(
-            out.toarray(), block_diag_adjacency([a, b.toarray()])
-        )
+        np.testing.assert_allclose(out.toarray(), sp.block_diag([a, b]).toarray())
+
+    def test_rejects_a_dense_block(self, rng):
+        with pytest.raises(ValueError, match="scipy sparse"):
+            block_diag_adjacency_sparse([sp.csr_matrix(rng.random((2, 2))), rng.random((3, 3))])
 
     def test_empty_list_raises(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.nn.layers import (
     GCNConv,
@@ -16,6 +17,11 @@ from repro.nn.layers import (
 )
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import numeric_gradient
+
+
+def normalized_csr(adjacency):
+    """The GCN normalisation as the CSR matrix the convolutions take."""
+    return sp.csr_matrix(gcn_normalize_adjacency(adjacency))
 
 
 @pytest.fixture
@@ -101,7 +107,7 @@ class TestGCNNormalization:
 class TestGCNConv:
     def test_output_shape(self, rng):
         conv = GCNConv(4, 6, rng=rng)
-        adj = gcn_normalize_adjacency(np.zeros((3, 3)))
+        adj = normalized_csr(np.zeros((3, 3)))
         out = conv(Tensor(rng.normal(size=(3, 4))), adj)
         assert out.shape == (3, 6)
 
@@ -109,13 +115,13 @@ class TestGCNConv:
         conv = GCNConv(3, 2, rng=rng)
         h = rng.normal(size=(4, 3))
         adj = np.triu((rng.random((4, 4)) < 0.5).astype(float), 1)
-        norm = gcn_normalize_adjacency(adj)
-        expected = norm @ h @ conv.weight.data + conv.bias.data
+        norm = normalized_csr(adj)
+        expected = norm.toarray() @ h @ conv.weight.data + conv.bias.data
         np.testing.assert_allclose(conv(Tensor(h), norm).data, expected)
 
     def test_size_mismatch_raises(self, rng):
         conv = GCNConv(3, 2, rng=rng)
-        adj = gcn_normalize_adjacency(np.zeros((2, 2)))
+        adj = normalized_csr(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             conv(Tensor(rng.normal(size=(3, 3))), adj)
 
@@ -123,7 +129,7 @@ class TestGCNConv:
         # with an empty graph, each node sees only itself
         conv = GCNConv(3, 3, rng=rng)
         h = rng.normal(size=(2, 3))
-        norm = gcn_normalize_adjacency(np.zeros((2, 2)))
+        norm = normalized_csr(np.zeros((2, 2)))
         out = conv(Tensor(h), norm)
         expected = h @ conv.weight.data + conv.bias.data
         np.testing.assert_allclose(out.data, expected)
@@ -136,13 +142,13 @@ class TestGCNStack:
 
     def test_output_shape(self, rng):
         stack = GCNStack(4, 8, 2, rng=rng)
-        adj = gcn_normalize_adjacency(np.zeros((5, 5)))
+        adj = normalized_csr(np.zeros((5, 5)))
         out = stack(Tensor(rng.normal(size=(5, 4))), adj)
         assert out.shape == (5, 8)
 
     def test_output_nonnegative_after_final_relu(self, rng):
         stack = GCNStack(4, 8, 2, rng=rng)
-        adj = gcn_normalize_adjacency(np.zeros((5, 5)))
+        adj = normalized_csr(np.zeros((5, 5)))
         out = stack(Tensor(rng.normal(size=(5, 4))), adj)
         assert (out.data >= 0).all()
 
@@ -155,7 +161,7 @@ class TestGCNStack:
         # chain 0→1→2; with 2 layers node 0's output depends on node 2's input
         adj = np.zeros((3, 3))
         adj[0, 1] = adj[1, 2] = 1.0
-        norm = gcn_normalize_adjacency(adj)
+        norm = normalized_csr(adj)
         stack = GCNStack(2, 4, 2, rng=rng)
         h = rng.normal(size=(3, 2))
         base = stack(Tensor(h), norm).data[0].copy()
@@ -246,7 +252,7 @@ class TestLayerGradients:
     def test_gcnconv_weight_gradcheck(self, rng):
         conv = GCNConv(3, 2, rng=rng)
         h = rng.normal(size=(4, 3))
-        adj = gcn_normalize_adjacency(
+        adj = normalized_csr(
             np.triu((rng.random((4, 4)) < 0.5).astype(float), 1)
         )
 

@@ -23,6 +23,27 @@ def random_dag_adj(n, rng, p=0.3):
     return np.triu((rng.random((n, n)) < p).astype(float), 1)
 
 
+def dense_gcn(convs, h, dense_norm_adj):
+    """The GCN stack's math with a dense normalised adjacency: the
+    reference the CSR forward is held to."""
+    for conv in convs:
+        h = np.maximum(dense_norm_adj @ (h @ conv.weight.data) + conv.bias.data, 0.0)
+    return h
+
+
+def dense_policy(agent, obs, dense_norm_adj):
+    """π(a|s) computed in dense NumPy from ``agent``'s weights."""
+    h = dense_gcn(agent.gcn.convs, obs.features, dense_norm_adj)
+    logits = (h[obs.ready_positions] @ agent.task_score.weight.data
+              + agent.task_score.bias.data).ravel()
+    if obs.allow_pass:
+        ctx = np.concatenate([h.max(axis=0), obs.proc_features])
+        pass_logit = ctx @ agent.pass_score.weight.data + agent.pass_score.bias.data
+        logits = np.concatenate([logits, pass_logit])
+    p = np.exp(logits - logits.max())
+    return p / p.sum()
+
+
 class TestSparseMatmul:
     def test_matches_dense(self, rng):
         a = random_dag_adj(6, rng)
@@ -97,17 +118,17 @@ class TestGCNWithSparseAdjacency:
         adj = random_dag_adj(7, rng)
         h = rng.normal(size=(7, 5))
         conv = GCNConv(5, 4, rng=0)
-        dense_out = conv(Tensor(h), gcn_normalize_adjacency(adj))
+        dense_out = gcn_normalize_adjacency(adj) @ (h @ conv.weight.data) + conv.bias.data
         sparse_out = conv(Tensor(h), gcn_normalize_adjacency_sparse(adj))
-        np.testing.assert_allclose(sparse_out.data, dense_out.data, atol=1e-12)
+        np.testing.assert_allclose(sparse_out.data, dense_out, atol=1e-12)
 
     def test_stack_output_matches_dense(self, rng):
         adj = random_dag_adj(7, rng)
         h = rng.normal(size=(7, 5))
         stack = GCNStack(5, 8, 2, rng=0)
-        dense_out = stack(Tensor(h), gcn_normalize_adjacency(adj))
+        dense_out = dense_gcn(stack.convs, h, gcn_normalize_adjacency(adj))
         sparse_out = stack(Tensor(h), gcn_normalize_adjacency_sparse(adj))
-        np.testing.assert_allclose(sparse_out.data, dense_out.data, atol=1e-12)
+        np.testing.assert_allclose(sparse_out.data, dense_out, atol=1e-12)
 
     def test_gradients_flow_through_sparse_path(self, rng):
         adj = gcn_normalize_adjacency_sparse(random_dag_adj(5, rng))
@@ -118,7 +139,8 @@ class TestGCNWithSparseAdjacency:
 
 class TestSparseEnvEndToEnd:
     def test_sparse_env_matches_dense_env(self):
-        """The two state modes must produce identical policies."""
+        """The env's CSR observation gives the policy that the dense
+        normalisation of its window gives."""
         from repro.graphs.cholesky import cholesky_dag
         from repro.graphs.durations import CHOLESKY_DURATIONS
         from repro.platforms import NoNoise, Platform
@@ -126,17 +148,15 @@ class TestSparseEnvEndToEnd:
         from repro.sim.env import SchedulingEnv
 
         graph = cholesky_dag(4)
-        kw = dict(window=2, rng=0)
-        env_d = SchedulingEnv(graph, Platform(2, 2), CHOLESKY_DURATIONS,
-                              NoNoise(), sparse_state=False, **kw)
-        env_s = SchedulingEnv(graph, Platform(2, 2), CHOLESKY_DURATIONS,
-                              NoNoise(), sparse_state=True, **kw)
-        agent = default_agent(env_d, rng=0)
-        obs_d, obs_s = env_d.reset().obs, env_s.reset().obs
+        env = SchedulingEnv(graph, Platform(2, 2), CHOLESKY_DURATIONS,
+                            NoNoise(), window=2, rng=0)
+        agent = default_agent(env, rng=0)
+        obs = env.reset().obs
+        nodes = env.state_builder.window_nodes(env.sim)
+        dense = gcn_normalize_adjacency(graph.adjacency_matrix()[np.ix_(nodes, nodes)])
+        np.testing.assert_allclose(obs.norm_adj.toarray(), dense, atol=1e-15)
         np.testing.assert_allclose(
-            agent.action_distribution(obs_d),
-            agent.action_distribution(obs_s),
-            atol=1e-12,
+            agent.action_distribution(obs), dense_policy(agent, obs, dense), atol=1e-12,
         )
 
     def test_full_episode_sparse(self):
@@ -148,7 +168,7 @@ class TestSparseEnvEndToEnd:
 
         env = SchedulingEnv(
             cholesky_dag(4), Platform(2, 2), CHOLESKY_DURATIONS, NoNoise(),
-            window=2, rng=0, sparse_state=True,
+            window=2, rng=0,
         )
         agent = default_agent(env, rng=0)
         mks = evaluate_agent(agent, env, episodes=1, rng=0)

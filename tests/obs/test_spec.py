@@ -81,7 +81,7 @@ class TestMaterialisation:
 
     def test_make_env(self):
         env = ExperimentSpec(
-            workload={"tiles": 2}, window=1, sparse_state=True
+            workload={"tiles": 2}, window=1
         ).make_env()
         assert isinstance(env, SchedulingEnv)
         assert env.window == 1

@@ -1,6 +1,7 @@
 """Wire codec: bitwise float round-trips and malformed-payload rejection."""
 
 import base64
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse as sp
 
 from repro.policy.codec import (
     REPLY_STATUSES,
@@ -27,7 +29,7 @@ from repro.policy.codec import (
 from repro.sim.state import Observation
 
 
-def make_obs(allow_pass=True, sparse=False):
+def make_obs(allow_pass=True):
     """A small hand-built observation with deliberately awkward floats."""
     features = np.array(
         [
@@ -36,12 +38,9 @@ def make_obs(allow_pass=True, sparse=False):
             [0.2, 0.3, 0.4],
         ]
     )
-    adj = np.array(
+    adj = sp.csr_matrix(np.array(
         [[0.5, 0.1, 0.0], [0.0, 1.0 / 3.0, 0.0], [0.0, 0.0, 0.25]]
-    )
-    if sparse:
-        sp = pytest.importorskip("scipy.sparse")
-        adj = sp.csr_matrix(adj)
+    ))
     return Observation(
         features=features,
         norm_adj=adj,
@@ -55,11 +54,12 @@ def make_obs(allow_pass=True, sparse=False):
 
 
 class TestObservationRoundTrip:
-    def test_dense_bitwise_exact(self):
+    def test_bitwise_exact(self):
         obs = make_obs()
         back = decode_observation(encode_observation(obs))
         assert np.array_equal(back.features, obs.features)  # bitwise
-        assert np.array_equal(back.norm_adj, obs.norm_adj)
+        for got, want in zip(back.adjacency_parts(), obs.adjacency_parts()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(back.ready_positions, obs.ready_positions)
         assert np.array_equal(back.ready_tasks, obs.ready_tasks)
         assert np.array_equal(back.proc_features, obs.proc_features)
@@ -74,7 +74,7 @@ class TestObservationRoundTrip:
         assert back.allow_pass is False
 
     def test_csr_round_trip(self):
-        obs = make_obs(sparse=True)
+        obs = make_obs()
         back = decode_observation(encode_observation(obs))
         assert back.norm_adj.format == "csr"
         assert np.array_equal(
@@ -132,7 +132,7 @@ class TestObservationRejection:
         ("indptr", [0, 3, 1, 4]),
     ])
     def test_csr_adjacency_out_of_range(self, part, value):
-        obs = make_obs(sparse=True)
+        obs = make_obs()
         setattr(obs.norm_adj, part, np.array(value, dtype=np.int32))
         payload = encode_observation(obs)
         with pytest.raises(CodecError, match="malformed"):
@@ -141,7 +141,6 @@ class TestObservationRejection:
     def test_decreasing_indptr_without_entries(self):
         """scipy's full format check skips monotonicity when the last row
         pointer is 0; row 0 would then read one entry past ``indices``."""
-        sp = pytest.importorskip("scipy.sparse")
         obs = make_obs()
         obs.norm_adj = sp.csr_matrix((3, 3))
         obs.norm_adj.indptr = np.array([0, 1, 0, 0], dtype=np.int32)
@@ -152,7 +151,6 @@ class TestObservationRejection:
         """Each step of this row-pointer array wraps to a positive int32
         difference, yet the pointers fall; row 0 would read 2**31 - 1
         entries past an empty ``indices``."""
-        sp = pytest.importorskip("scipy.sparse")
         obs = make_obs()
         obs.features = np.vstack([obs.features, obs.features[:1]])
         obs.norm_adj = sp.csr_matrix((4, 4))
@@ -162,19 +160,21 @@ class TestObservationRejection:
         with pytest.raises(CodecError, match="never decrease"):
             decode_observation(encode_observation(obs))
 
-    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("as_parts", [False, True])
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_adjacency_must_match_the_feature_rows(self, sparse, delta):
+    def test_adjacency_must_match_the_feature_rows(self, as_parts, delta):
         """A square adjacency one row short or long would send the
-        forward's spmm kernels past the end of their buffers."""
-        obs = make_obs(sparse=sparse)
+        forward's spmm kernels past the end of their buffers, whether the
+        observation holds a matrix or the CSR parts."""
+        obs = make_obs()
         m = obs.features.shape[0] + delta
         adj = np.zeros((m, m))
         k = min(m, 3)
-        adj[:k, :k] = make_obs().norm_adj[:k, :k]
-        if sparse:
-            adj = pytest.importorskip("scipy.sparse").csr_matrix(adj)
-        obs.norm_adj = adj
+        adj[:k, :k] = make_obs().norm_adj.toarray()[:k, :k]
+        adj = sp.csr_matrix(adj)
+        obs = dataclasses.replace(
+            obs, norm_adj=(adj.data, adj.indices, adj.indptr) if as_parts else adj
+        )
         with pytest.raises(CodecError, match="feature rows"):
             decode_observation(encode_observation(obs))
 
@@ -211,7 +211,7 @@ class TestObservationRejection:
     def test_wide_csr_index_is_refused_before_narrowing(self):
         """An int64 index of 2**32 + 1 would wrap to column 1 on the cast
         to int32 and pass scipy's format check."""
-        obs = make_obs(sparse=True)
+        obs = make_obs()
         indices = obs.norm_adj.indices.astype(np.int64)
         indices[1] += 2**32
         obs.norm_adj.indices = indices
@@ -223,7 +223,7 @@ class TestObservationRejection:
         obs = make_obs()
         legacy = {
             "features": obs.features.tolist(),
-            "adj": {"format": "dense", "data": obs.norm_adj.tolist()},
+            "adj": {"format": "dense", "data": obs.norm_adj.toarray().tolist()},
             "ready_positions": obs.ready_positions.tolist(),
             "ready_tasks": obs.ready_tasks.tolist(),
             "proc_features": obs.proc_features.tolist(),
@@ -235,7 +235,7 @@ class TestObservationRejection:
 
 
 def observations():
-    """Hypothesis observations: random window sizes, dense or CSR."""
+    """Hypothesis observations: random window sizes, CSR adjacencies."""
 
     @st.composite
     def build(draw):
@@ -243,9 +243,9 @@ def observations():
         f = draw(st.integers(1, 4))
         floats = st.floats(allow_nan=False, allow_infinity=False)
         features = draw(arrays(np.float64, (m, f), elements=floats))
-        adj = draw(arrays(np.float64, (m, m), elements=st.sampled_from([0.0, 0.5, 1.0 / 3.0])))
-        if draw(st.booleans()):
-            adj = pytest.importorskip("scipy.sparse").csr_matrix(adj)
+        adj = sp.csr_matrix(draw(
+            arrays(np.float64, (m, m), elements=st.sampled_from([0.0, 0.5, 1.0 / 3.0]))
+        ))
         ready = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
         return Observation(
             features=features,
@@ -414,6 +414,71 @@ class TestTypedDecoderFuzz:
         obs.norm_adj = csr
         with pytest.raises(CodecError, match="int32"):
             encode_observation(obs)
+
+
+class TestCsrOnly:
+    """CSR is the only adjacency format, and the decoder's explicit NumPy
+    checks accept exactly what scipy's full format check plus the row
+    pointer rules accepted."""
+
+    def test_dense_format_payload_is_refused(self):
+        payload = encode_observation(make_obs())
+        payload["adj"]["format"] = "dense"
+        with pytest.raises(CodecError, match="CSR is the only format"):
+            decode_observation(payload)
+
+    def test_decoded_observation_holds_parts_until_read(self):
+        back = decode_observation(encode_observation(make_obs()))
+        assert "norm_adj" not in back.__dict__
+        data, indices, indptr = back.adjacency_parts()
+        assert (data.dtype, indices.dtype, indptr.dtype) == (np.float64, np.int32, np.int32)
+        assert np.array_equal(back.norm_adj.indptr, indptr)
+        assert not back.norm_adj.data.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepts_exactly_what_scipy_and_the_indptr_rules_accept(self, data):
+        m = data.draw(st.integers(1, 5))
+        nnz = data.draw(st.integers(0, 8))
+        extremes = st.sampled_from([-(2**31), -1, 0, m - 1, m, nnz, 2**31 - 1])
+        index = st.one_of(st.integers(0, m - 1), extremes, st.integers(-(2**31), 2**31 - 1))
+        indices = np.array(data.draw(st.lists(index, min_size=nnz, max_size=nnz)), dtype="<i4")
+        if data.draw(st.booleans()):  # a valid partition of the nnz entries
+            cuts = sorted(data.draw(st.lists(st.integers(0, nnz), min_size=m - 1, max_size=m - 1)))
+            indptr = np.array([0, *cuts, nnz], dtype="<i4")
+            if data.draw(st.booleans()):  # then break one pointer
+                indptr[data.draw(st.integers(0, m))] = data.draw(st.one_of(extremes, index))
+        else:
+            indptr = np.array(
+                data.draw(st.lists(st.one_of(extremes, index), min_size=m + 1, max_size=m + 1)),
+                dtype="<i4",
+            )
+        values = np.full(nnz, 0.5)
+        raw = b"".join(a.tobytes() for a in (
+            np.zeros((m, 1)), values, np.zeros(2, dtype="<i8"), indices, indptr,
+        ))
+        payload = {
+            "wire": 2, "features": [m, 1], "proc_features": 0,
+            "ready_positions": 1, "ready_tasks": 1,
+            "adj": {"format": "csr", "shape": [m, m], "nnz": nnz},
+            "current_proc": 0, "allow_pass": False,
+            "buf": base64.b64encode(raw).decode("ascii"),
+        }
+        try:  # the decoder before its checks were written out in NumPy
+            if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+                raise ValueError("indptr")
+            sp.csr_matrix((values, indices, indptr), shape=(m, m)).check_format(full_check=True)
+            oracle_accepts = True
+        except ValueError:
+            oracle_accepts = False
+        try:
+            back = decode_observation(payload)
+        except CodecError as exc:
+            assert not oracle_accepts, exc
+            assert "malformed" in str(exc)
+            return
+        assert oracle_accepts
+        assert np.array_equal(back.norm_adj.toarray().shape, (m, m))
 
 
 def size_fields(payload):

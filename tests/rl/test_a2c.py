@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import gcn_normalize_adjacency
+from repro.nn.sparse import gcn_normalize_adjacency_sparse
 from repro.rl.a2c import A2CConfig, A2CUpdater, Transition
 from repro.rl.agent import AgentConfig, ReadysAgent
 from repro.sim.state import PROC_FEATURE_DIM, Observation
@@ -15,7 +15,7 @@ def bandit_obs(num_ready=2, feature_dim=6, rng=None):
     adj = np.zeros((n, n))
     return Observation(
         features=rng.normal(size=(n, feature_dim)),
-        norm_adj=gcn_normalize_adjacency(adj),
+        norm_adj=gcn_normalize_adjacency_sparse(adj),
         ready_positions=np.arange(num_ready),
         ready_tasks=np.arange(num_ready),
         proc_features=np.zeros(PROC_FEATURE_DIM),

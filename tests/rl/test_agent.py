@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
-from repro.nn.layers import gcn_normalize_adjacency
+from repro.nn.sparse import gcn_normalize_adjacency_sparse
 from repro.platforms.noise import NoNoise
 from repro.platforms.resources import Platform
 from repro.rl.agent import AgentConfig, ReadysAgent
@@ -23,7 +23,7 @@ def make_obs(num_nodes=5, num_ready=2, feature_dim=8, allow_pass=True, rng=None)
     adj = np.triu((rng.random((num_nodes, num_nodes)) < 0.3).astype(float), 1)
     return Observation(
         features=rng.normal(size=(num_nodes, feature_dim)),
-        norm_adj=gcn_normalize_adjacency(adj),
+        norm_adj=gcn_normalize_adjacency_sparse(adj),
         ready_positions=np.arange(num_ready),
         ready_tasks=np.arange(num_ready),
         proc_features=rng.normal(size=PROC_FEATURE_DIM),

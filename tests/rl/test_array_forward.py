@@ -3,8 +3,9 @@
 Every no-grad decision runs :mod:`repro.nn.array_forward` — the tape's op
 sequence on plain parameter arrays.  These tests hold its logits and values
 **bitwise** equal to the tape forward over live environment batches
-(``ObservationBatch`` and plain observation lists, dense and CSR members,
-windows 0..3, with and without the ∅ action) and over synthetic windows —
+(``ObservationBatch`` and plain observation lists, windows 0..3, with and
+without the ∅ action) and over synthetic windows whose CSR adjacency is a
+matrix or its raw parts and over synthetic windows —
 the policy helpers' NumPy path, and ``batch_forward`` with the C fusion core
 (the training replay's path) on and off; check structurally that the policy
 helpers make no ``Tensor``; refuse observations whose adjacency does not
@@ -73,7 +74,7 @@ def assert_matches_tape(agent, observations, fused):
             same_bits(value, tape_value.data)
 
 
-def make_vec(k, window, sparse_flags, seed):
+def make_vec(k, window, seed):
     workload = workloads.get(
         "mixed-families", families=["cholesky", "lu", "qr"], tile_choices=[3]
     )
@@ -81,9 +82,8 @@ def make_vec(k, window, sparse_flags, seed):
         SchedulingEnv(
             workload.sample, Platform(2, 2), workload.durations,
             noise=GaussianNoise(0.2), window=window, rng=rng,
-            sparse_state=sparse_flags[i],
         )
-        for i, rng in enumerate(spawn_generators(seed, k))
+        for rng in spawn_generators(seed, k)
     ]
     return VecSchedulingEnv(envs)
 
@@ -92,14 +92,13 @@ def make_vec(k, window, sparse_flags, seed):
 @given(
     k=st.integers(1, 8),
     window=st.integers(0, 3),
-    sparse_flags=st.lists(st.booleans(), min_size=8, max_size=8),
     steps=st.integers(0, 12),
     as_list=st.booleans(),
     fused=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_environment_batches_match_the_tape(k, window, sparse_flags, steps, as_list, fused, seed):
-    vec = make_vec(k, window, sparse_flags, seed)
+def test_environment_batches_match_the_tape(k, window, steps, as_list, fused, seed):
+    vec = make_vec(k, window, seed)
     agent = randomize(default_agent(vec, hidden_dim=16, rng=seed), seed)
     rng = np.random.default_rng(seed)
     batch = vec.reset().obs
@@ -114,15 +113,16 @@ def test_environment_batches_match_the_tape(k, window, sparse_flags, steps, as_l
 @given(
     k=st.integers(1, 8),
     layers=st.integers(1, 3),
-    sparse_probability=st.sampled_from([0.0, 0.5, 1.0]),
+    parts_probability=st.sampled_from([0.0, 0.5, 1.0]),
     fused=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_synthetic_windows_match_the_tape(k, layers, sparse_probability, fused, seed):
-    """Mixed window sizes, dense/CSR members and ∅ legality per member."""
+def test_synthetic_windows_match_the_tape(k, layers, parts_probability, fused, seed):
+    """Mixed window sizes, matrix- and parts-built members and ∅ legality
+    per member."""
     rng = np.random.default_rng(seed)
     observations = [
-        random_obs(rng, int(rng.integers(1, 14)), sparse=bool(rng.random() < sparse_probability))
+        random_obs(rng, int(rng.integers(1, 14)), as_parts=bool(rng.random() < parts_probability))
         for _ in range(k)
     ]
     agent = randomize(make_agent(feature_dim=FEATURE_DIM, layers=layers, rng=seed), seed)
@@ -143,7 +143,7 @@ def test_policy_helpers_make_no_tensor(monkeypatch):
         return make(self, *args, **kwargs)
 
     rng = np.random.default_rng(3)
-    observations = [random_obs(rng, n, sparse=n % 2 == 0) for n in (3, 7, 5, 9)]
+    observations = [random_obs(rng, n, as_parts=n % 2 == 0) for n in (3, 7, 5, 9)]
     agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     monkeypatch.setattr(Tensor, "_make", counting_make)
@@ -165,7 +165,7 @@ def test_forwards_read_weights_loaded_after_construction():
     """The agent binds its Parameters once, but reads ``p.data`` per call:
     ``load_state_dict`` rebinds the arrays, and the next decisions follow."""
     rng = np.random.default_rng(5)
-    observations = [random_obs(rng, n, sparse=n % 2 == 0, allow_pass=True) for n in (4, 7, 5)]
+    observations = [random_obs(rng, n, as_parts=n % 2 == 0, allow_pass=True) for n in (4, 7, 5)]
     agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
     before = (agent.greedy_actions(observations), agent.state_value(observations[0]))
     agent.load_state_dict(randomize(make_agent(feature_dim=FEATURE_DIM, rng=2), 9).state_dict())
@@ -185,27 +185,30 @@ def test_forwards_read_weights_loaded_after_construction():
 # --------------------------------------------------------------------- #
 
 
-def resize_adjacency(obs, delta):
-    """``obs`` with its adjacency one row (and column) short or long."""
+def resize_adjacency(obs, delta, as_parts):
+    """``obs`` with its adjacency one row (and column) short or long, as a
+    matrix or as its CSR parts."""
     m = obs.num_nodes + delta
-    adj = obs.norm_adj.toarray() if sp.issparse(obs.norm_adj) else obs.norm_adj
+    adj = obs.norm_adj.toarray()
     resized = np.zeros((m, m))
     k = min(m, adj.shape[0])
     resized[:k, :k] = adj[:k, :k]
-    if sp.issparse(obs.norm_adj):
-        resized = sp.csr_matrix(resized)
+    resized = sp.csr_matrix(resized)
+    if as_parts:
+        resized = (resized.data, resized.indices, resized.indptr)
     return replace(obs, norm_adj=resized)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("as_parts", [False, True])
 @pytest.mark.parametrize("delta", [-1, 1])
-def test_adjacency_size_mismatch_is_refused(sparse, delta):
+def test_adjacency_size_mismatch_is_refused(as_parts, delta):
     """The spmm kernels index rows unchecked: a window whose adjacency does
     not match its feature rows raises before any kernel runs, on its own
-    and inside a batch of several."""
+    and inside a batch of several, whether the observation holds a matrix
+    or the CSR parts."""
     rng = np.random.default_rng(2)
-    good = [random_obs(rng, n, sparse=sparse) for n in (4, 6)]
-    bad = resize_adjacency(random_obs(rng, 5, sparse=sparse), delta)
+    good = [random_obs(rng, n, as_parts=as_parts) for n in (4, 6)]
+    bad = resize_adjacency(random_obs(rng, 5, as_parts=as_parts), delta, as_parts)
     agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
     with pytest.raises(ValueError, match="adjacency size"):
         agent.greedy_action(bad)
@@ -220,7 +223,7 @@ def test_adjacency_size_mismatch_is_refused(sparse, delta):
 def test_batch_forward_refuses_a_short_adjacency():
     rng = np.random.default_rng(4)
     agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
-    glue = agent._batch_glue([random_obs(rng, n, sparse=True) for n in (3, 5)])
+    glue = agent._batch_glue([random_obs(rng, n) for n in (3, 5)])
     glue.adj_indptr = glue.adj_indptr[:-1]
     for fu in (None, fusion_for(agent.config.hidden_dim)):
         with pytest.raises(ValueError, match="adjacency size"):

@@ -93,7 +93,7 @@ def test_array_step_equals_the_tape(
     kind, k, window, layers, steps, normalize, fused, dead, coefs, seed
 ):
     rng = np.random.default_rng(seed)
-    vec = make_vec(k, window, [bool(b) for b in rng.integers(0, 2, size=k)], seed)
+    vec = make_vec(k, window, seed)
     observations = collect(vec, steps, rng)
     agents = []
     for _ in range(2):

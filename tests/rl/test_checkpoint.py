@@ -89,6 +89,18 @@ class TestSingleProcessResume:
         assert restored.completed_updates == 1
 
 
+    def test_spec_with_the_retired_sparse_state_key_resumes(self, tmp_path):
+        path = str(tmp_path / "ckpt.pkl")
+        ReadysTrainer.from_spec(SPEC, config=CONFIG).train_updates(
+            1, checkpoint_every=1, checkpoint_path=path
+        )
+        legacy = load_checkpoint(path)
+        legacy.spec = dict(legacy.spec, sparse_state=True)
+        save_checkpoint(legacy, path)
+        resumed = ReadysTrainer.from_checkpoint(path)
+        assert resumed.spec == SPEC
+        resumed.train_updates(1)
+
 class TestCheckpointFiles:
     def test_load_rejects_foreign_pickles(self, tmp_path):
         path = str(tmp_path / "junk.pkl")

@@ -3,8 +3,8 @@
 The vectorised rollout stack stands on one invariant: a block-diagonally
 batched GCN pass computes the *same* logits and values as B independent
 forwards.  These tests pin that down property-style on random mixed-size
-windows (dense and CSR adjacency), plus the gradient side and the batched
-policy helpers built on top.
+windows (CSR adjacency given as a matrix or as its parts), plus the
+gradient side and the batched policy helpers built on top.
 """
 
 import numpy as np
@@ -22,12 +22,13 @@ FEATURE_DIM = 8
 TOL = 1e-10
 
 
-def random_obs(rng, num_nodes, sparse=False, allow_pass=None):
-    """A synthetic window observation with a random DAG adjacency."""
+def random_obs(rng, num_nodes, as_parts=False, allow_pass=None):
+    """A synthetic window observation with a random DAG adjacency, handed
+    to the constructor as a ``csr_matrix`` or as its CSR parts."""
     adj = np.triu((rng.random((num_nodes, num_nodes)) < 0.4).astype(float), 1)
-    norm_adj = gcn_normalize_adjacency(adj)
-    if sparse:
-        norm_adj = sp.csr_matrix(norm_adj)
+    norm_adj = sp.csr_matrix(gcn_normalize_adjacency(adj))
+    if as_parts:
+        norm_adj = (norm_adj.data, norm_adj.indices, norm_adj.indptr)
     num_ready = int(rng.integers(1, num_nodes + 1))
     ready = rng.choice(num_nodes, size=num_ready, replace=False)
     return Observation(
@@ -41,13 +42,13 @@ def random_obs(rng, num_nodes, sparse=False, allow_pass=None):
     )
 
 
-def random_batch(seed, batch, sparse_probability=0.5):
+def random_batch(seed, batch, parts_probability=0.5):
     rng = np.random.default_rng(seed)
     return [
         random_obs(
             rng,
             num_nodes=int(rng.integers(2, 12)),
-            sparse=bool(rng.random() < sparse_probability),
+            as_parts=bool(rng.random() < parts_probability),
         )
         for _ in range(batch)
     ]
@@ -59,7 +60,7 @@ class TestForwardBatchEquivalence:
     def test_matches_per_observation_forward(self, seed, batch):
         """Property: batched logits/values ≡ per-obs forward to 1e-10.
 
-        Mixed window sizes, mixed dense/CSR adjacency, mixed allow_pass —
+        Mixed window sizes, matrix- and parts-built adjacency, mixed allow_pass —
         the exact shape of a VecEnv decision wave.
         """
         agent = make_agent(feature_dim=FEATURE_DIM, rng=3)
@@ -75,12 +76,12 @@ class TestForwardBatchEquivalence:
                 values.data[i], single_value.data[0], atol=TOL, rtol=0
             )
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_uniform_format_batches(self, sparse):
-        """All-dense and all-CSR batches both agree with the single path."""
+    @pytest.mark.parametrize("as_parts", [False, True])
+    def test_uniform_format_batches(self, as_parts):
+        """All-matrix and all-parts batches both agree with the single path."""
         rng = np.random.default_rng(5)
         agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
-        obs_list = [random_obs(rng, n, sparse=sparse) for n in (3, 9, 5)]
+        obs_list = [random_obs(rng, n, as_parts=as_parts) for n in (3, 9, 5)]
         logits_list, values = agent.forward_batch(obs_list)
         for i, obs in enumerate(obs_list):
             single_logits, single_value = agent.forward(obs)

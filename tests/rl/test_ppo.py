@@ -5,11 +5,14 @@ import pytest
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
-from repro.nn.layers import gcn_normalize_adjacency
+from repro.nn import functional as F
+from repro.nn.sparse import gcn_normalize_adjacency_sparse
+from repro.nn.tensor import no_grad
 from repro.platforms.noise import NoNoise
 from repro.platforms.resources import Platform
 from repro.rl.agent import AgentConfig, ReadysAgent
 from repro.rl.ppo import PPOConfig, PPOTrainer, PPOTransition, compute_gae
+from repro.rl.trainer import default_agent
 from repro.sim.env import SchedulingEnv
 from repro.sim.state import PROC_FEATURE_DIM, Observation
 
@@ -19,7 +22,7 @@ def bandit_obs(num_ready=2, feature_dim=6, rng=None):
     n = num_ready + 2
     return Observation(
         features=rng.normal(size=(n, feature_dim)),
-        norm_adj=gcn_normalize_adjacency(np.zeros((n, n))),
+        norm_adj=gcn_normalize_adjacency_sparse(np.zeros((n, n))),
         ready_positions=np.arange(num_ready),
         ready_tasks=np.arange(num_ready),
         proc_features=np.zeros(PROC_FEATURE_DIM),
@@ -160,6 +163,66 @@ class TestPPOTrainerMechanics:
 
 
 @pytest.mark.slow
+class TapeRolloutPPO(PPOTrainer):
+    """The rollout's policy statistics through the autograd tape, as
+    ``F.log_softmax`` of :meth:`ReadysAgent.forward` under ``no_grad``."""
+
+    def _policy_stats(self, obs):
+        with no_grad():
+            logits, value = self.agent.forward(obs)
+            logp = F.log_softmax(logits).data
+        probs = np.exp(logp)
+        probs = probs / probs.sum()
+        action = int(self.rng.choice(len(probs), p=probs))
+        return action, float(logp[action]), float(value.data[0])
+
+    def collect_rollout(self):
+        transitions, _ = super().collect_rollout()
+        bootstrap = 0.0
+        if not transitions[-1].done:
+            with no_grad():
+                bootstrap = float(self.agent.forward(self._obs)[1].data[0])
+        return transitions, bootstrap
+
+
+class TestArrayRollout:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rollout_matches_the_tape_bitwise(self, seed):
+        """Actions, logπ, values, bootstrap and the sampler's generator
+        state are byte-identical to the tape's over two rollouts and the
+        update between them (episode ends included)."""
+        def run(cls):
+            env = env_for_tests(tiles=3)
+            agent = default_agent(env, hidden_dim=16, rng=seed)
+            trainer = cls(env, agent, PPOConfig(rollout_length=40, num_epochs=1), rng=seed)
+            out = []
+            for _ in range(2):
+                transitions, bootstrap = trainer.collect_rollout()
+                out.append((
+                    [(t.action, np.float64(t.log_prob).tobytes(), np.float64(t.value).tobytes(),
+                      t.reward, t.done) for t in transitions],
+                    np.float64(bootstrap).tobytes(),
+                    repr(trainer.rng.bit_generator.state),
+                ))
+                trainer.update(transitions, bootstrap)
+            return out
+
+        got, want = run(PPOTrainer), run(TapeRolloutPPO)
+        assert any(t[4] for t in got[0][0] + got[1][0])  # an episode ended
+        assert got == want
+
+    def test_log_policy_matches_log_softmax(self):
+        env = env_for_tests(tiles=3)
+        agent = default_agent(env, hidden_dim=16, rng=3)
+        obs = env.reset().obs
+        logp, value = agent.log_policy(obs)
+        with no_grad():
+            logits, tape_value = agent.forward(obs)
+            want = F.log_softmax(logits).data
+        assert logp.tobytes() == want.tobytes()
+        assert np.float64(value).tobytes() == tape_value.data[0].tobytes()
+
+
 class TestPPOLearning:
     def test_ppo_improves_over_untrained(self):
         from repro.rl.trainer import default_agent, evaluate_agent

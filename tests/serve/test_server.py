@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
@@ -176,6 +177,19 @@ class TestProtocolSurface:
         mirrored = {**spec.to_dict(), "kernel": "lu", "tiles": 3}
         with RemoteClient.for_scheduler(
             running.endpoint, "heft", spec=mirrored
+        ) as client:
+            rows = evaluate_policy(spec.make_env(), client, episodes=1, seed=0)
+        assert rows == evaluate_policy(
+            spec.make_env(), registry.get_policy("heft", spec=spec),
+            episodes=1, seed=0,
+        )
+
+    def test_open_with_a_retired_sparse_state_key(self, serve_factory):
+        """Specs written while the dense/CSR switch existed still open."""
+        running = serve_factory()
+        spec = ExperimentSpec(workload={"kernel": "lu", "tiles": 3})
+        with RemoteClient.for_scheduler(
+            running.endpoint, "heft", spec={**spec.to_dict(), "sparse_state": True}
         ) as client:
             rows = evaluate_policy(spec.make_env(), client, episodes=1, seed=0)
         assert rows == evaluate_policy(
@@ -510,7 +524,7 @@ class TestQueueSemantics:
             resized = np.zeros((m, m))
             k = min(m, len(rows))
             resized[:k, :k] = rows[:k, :k]
-            bad = self.decide_frame(with_fields(obs, norm_adj=resized), seq=2)
+            bad = self.decide_frame(with_fields(obs, norm_adj=sp.csr_matrix(resized)), seq=2)
             for frame in (self.decide_frame(obs, seq=1), bad, self.decide_frame(obs, seq=3)):
                 server._handle_decide(frame, writer)
             server._flush([server._queue.popleft() for _ in range(len(server._queue))])
@@ -631,3 +645,39 @@ class TestClientBackoff:
         with RemoteClient.for_scheduler(running.endpoint, "greedy-eft") as client:
             actions = client.decide_many([obs] * 8)
         assert actions == [expected] * 8
+
+
+class TestClientOversizedFrame:
+    def test_oversized_request_raises_before_any_byte_is_written(self, serve_factory):
+        """The client frames through ``encode_frame``: a request over
+        ``MAX_FRAME`` raises ``FrameError`` with nothing sent, so the
+        connection stays usable."""
+        running = serve_factory()
+        env = make_env()
+        obs = env.reset(seed=0).obs
+        m = protocol.MAX_FRAME // (12 * 6) + 1  # 12 float columns, ~10.7 B each
+        loops = np.arange(m + 1, dtype=np.int32)
+        huge = Observation(
+            features=np.zeros((m, 12)), norm_adj=(np.ones(m), loops[:-1], loops),
+            ready_positions=np.array([0]), ready_tasks=np.array([0]),
+            proc_features=obs.proc_features, current_proc=0, allow_pass=False,
+        )
+        with RemoteClient.for_scheduler(running.endpoint, "greedy-eft") as client:
+            written = []
+            real = client._file
+
+            class Spy:
+                def write(self, data):
+                    written.append(len(data))
+                    return real.write(data)
+
+                def __getattr__(self, name):
+                    return getattr(real, name)
+
+            client._file = Spy()
+            with pytest.raises(protocol.FrameError, match="MAX_FRAME"):
+                client.decide(huge)
+            assert written == []
+            action = client.decide(obs)  # the stream was not corrupted
+        assert 0 <= action < obs.num_actions
+        assert written

@@ -2,9 +2,8 @@
 
 A test-only copy of the per-member state build that preceded the batched
 builder: window nodes from a dense depth-``w`` reachability mask (BFS for
-large graphs), a per-window dense ``np.ix_`` adjacency gather with the dense
-or sparse GCN normalisation, the job columns concatenated after the base
-build, and the list-of-observations batch glue.  It keeps no memo between
+large graphs), a per-window edge gather with the sparse GCN normalisation,
+the job columns concatenated after the base build, and the list-of-observations batch glue.  It keeps no memo between
 calls, so every observation it returns is computed from the simulation
 alone.  :func:`assert_matches_reference` checks a batch against it bit for
 bit (used by ``test_state_batch.py`` and ``test_vec_parity.py``); nothing in
@@ -18,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.features import descendant_type_fractions, node_features
-from repro.nn.layers import gcn_normalize_adjacency
 from repro.nn.sparse import (
     block_diag_adjacency_sparse,
     edges_to_sparse_adjacency,
@@ -40,11 +38,9 @@ REACH_MAX_NODES = 2048
 class ReferenceStateBuilder:
     """Per-member observation build (``job_columns`` adds the streaming pair)."""
 
-    def __init__(self, durations, window: int, sparse: bool = False,
-                 job_columns: bool = False) -> None:
+    def __init__(self, durations, window: int, job_columns: bool = False) -> None:
         self.durations = durations
         self.window = window
-        self.sparse = sparse
         self.job_columns = job_columns
         self.scale = float(durations.table.mean())
 
@@ -123,20 +119,15 @@ class ReferenceStateBuilder:
         features[:, col_exp_current] = features[:, raw_width + cur_type]
         features[:, col_exp_current + 1 + cur_type] = 1.0
 
-        if self.sparse:
-            e = graph.edges
-            if len(e):
-                keep = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
-                sub_edges = np.column_stack((remap[e[keep, 0]], remap[e[keep, 1]]))
-            else:
-                sub_edges = np.zeros((0, 2), dtype=np.int64)
-            norm_adj = gcn_normalize_adjacency_sparse(
-                edges_to_sparse_adjacency(sub_edges, nodes.size)
-            )
+        e = graph.edges
+        if len(e):
+            keep = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
+            sub_edges = np.column_stack((remap[e[keep, 0]], remap[e[keep, 1]]))
         else:
-            norm_adj = gcn_normalize_adjacency(
-                graph.adjacency_matrix()[np.ix_(nodes, nodes)]
-            )
+            sub_edges = np.zeros((0, 2), dtype=np.int64)
+        norm_adj = gcn_normalize_adjacency_sparse(
+            edges_to_sparse_adjacency(sub_edges, nodes.size)
+        )
 
         ready_positions = np.flatnonzero(sim.ready[nodes])
         if allow_pass is None:
@@ -232,21 +223,16 @@ def same_array(a, b, what):
 
 
 def same_adjacency(a, b, what):
-    if hasattr(b, "indptr"):
-        assert hasattr(a, "indptr"), f"{what}: expected CSR, got dense"
-        for part in ("data", "indices", "indptr"):
-            same_array(getattr(a, part), getattr(b, part), f"{what}.{part}")
-        assert a.shape == b.shape
-    else:
-        assert isinstance(a, np.ndarray), f"{what}: expected dense, got CSR"
-        same_array(a, b, what)
+    for part in ("data", "indices", "indptr"):
+        same_array(getattr(a, part), getattr(b, part), f"{what}.{part}")
+    assert a.shape == b.shape
 
 
 def reference_of(env, ob):
     """The oracle's observation of ``env`` at the decision ``ob`` answers."""
     builder = env.state_builder
     oracle = ReferenceStateBuilder(
-        builder.durations, builder.window, builder.sparse,
+        builder.durations, builder.window,
         job_columns=isinstance(builder, JobStateBuilder),
     )
     return oracle.build(env.sim, ob.current_proc, allow_pass=ob.allow_pass)

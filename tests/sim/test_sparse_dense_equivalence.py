@@ -1,9 +1,10 @@
-"""Property test: sparse and dense state modes are observationally identical.
+"""Property test: the CSR window state is observationally the dense one.
 
-The CSR window adjacency is an implementation detail; for any instance and
-any point of any episode, the policy distribution computed from the sparse
-observation must match the dense one to within float reassociation (≤ a few
-ULPs — sparse matmul sums in a different order).
+Every observation carries its window adjacency as CSR; for any instance and
+any point of any episode, that adjacency must equal the dense GCN
+normalisation of the window sub-DAG, and the policy computed from the
+observation must match a dense NumPy forward to within float reassociation
+(≤ a few ULPs — sparse matmul sums in a different order).
 """
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from repro.graphs.durations import GENERIC_DURATIONS
 from repro.graphs.random_dag import erdos_dag
+from repro.nn.layers import gcn_normalize_adjacency
 from repro.platforms.noise import NoNoise
 from repro.platforms.resources import Platform
 from repro.rl.agent import AgentConfig, ReadysAgent
 from repro.sim.engine import Simulation
 from repro.sim.state import PROC_FEATURE_DIM, StateBuilder, observation_feature_dim
+from tests.nn.test_sparse import dense_policy
 
 
 def agent_for_generic():
@@ -41,8 +44,8 @@ def agent_for_generic():
 def test_sparse_matches_dense_at_every_decision(n, p, seed, window):
     graph = erdos_dag(n, p=p, rng=seed)
     agent = agent_for_generic()
-    dense = StateBuilder(GENERIC_DURATIONS, window=window, sparse=False)
-    sparse = StateBuilder(GENERIC_DURATIONS, window=window, sparse=True)
+    builder = StateBuilder(GENERIC_DURATIONS, window=window)
+    adjacency = graph.adjacency_matrix()
     sim = Simulation(graph, Platform(1, 2), GENERIC_DURATIONS, NoNoise(), rng=seed)
     rng = np.random.default_rng(seed)
     steps = 0
@@ -51,18 +54,19 @@ def test_sparse_matches_dense_at_every_decision(n, p, seed, window):
         idle = sim.idle_processors()
         if ready.size and idle.size:
             proc = int(idle[0])
-            obs_d = dense.build(sim, proc, allow_pass=False)
-            obs_s = sparse.build(sim, proc, allow_pass=False)
-            np.testing.assert_array_equal(obs_d.features, obs_s.features)
+            obs = builder.build(sim, proc, allow_pass=False)
+            nodes = builder.window_nodes(sim)
+            dense = gcn_normalize_adjacency(adjacency[np.ix_(nodes, nodes)])
+            np.testing.assert_allclose(obs.norm_adj.toarray(), dense, atol=1e-15)
             # sparse matmul reassociates the sums → ≤ a few ULPs difference
             np.testing.assert_allclose(
-                agent.action_distribution(obs_d),
-                agent.action_distribution(obs_s),
+                agent.action_distribution(obs),
+                dense_policy(agent, obs, dense),
                 atol=1e-12,
             )
             # take a random legal action to move the episode forward
-            action = int(rng.integers(0, len(obs_d.ready_tasks)))
-            sim.start(int(obs_d.ready_tasks[action]), proc)
+            action = int(rng.integers(0, len(obs.ready_tasks)))
+            sim.start(int(obs.ready_tasks[action]), proc)
         else:
             sim.advance()
         steps += 1

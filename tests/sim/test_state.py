@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.graphs.cholesky import cholesky_dag
 from repro.graphs.durations import CHOLESKY_DURATIONS
@@ -10,6 +11,7 @@ from repro.platforms.resources import CPU, GPU, NUM_RESOURCE_TYPES, Platform
 from repro.sim.engine import Simulation
 from repro.sim.state import (
     PROC_FEATURE_DIM,
+    Observation,
     StateBuilder,
     observation_feature_dim,
 )
@@ -76,7 +78,7 @@ class TestObservation:
         obs = StateBuilder(CHOLESKY_DURATIONS, window=2).build(sim, 0)
         m = obs.num_nodes
         assert obs.norm_adj.shape == (m, m)
-        np.testing.assert_allclose(obs.norm_adj, obs.norm_adj.T)
+        np.testing.assert_allclose(obs.norm_adj.toarray(), obs.norm_adj.T.toarray())
 
     def test_ready_positions_align_with_tasks(self):
         sim = fresh_sim()
@@ -219,7 +221,7 @@ class TestFrozenMemos:
         sim = fresh_sim()
         builder = StateBuilder(CHOLESKY_DURATIONS, window=2)
         obs = builder.build(sim, current_proc=0)
-        assert not obs.norm_adj.flags.writeable
+        assert not obs.norm_adj.data.flags.writeable
         with pytest.raises(ValueError):
             obs.norm_adj[0, 0] = 99.0
 
@@ -255,3 +257,47 @@ class TestProcDescriptorAgreement:
             else:
                 sim.advance()
         assert checked == 10
+
+
+class TestHandBuiltAdjacency:
+    """``norm_adj`` is CSR: a csr_matrix or its (data, indices, indptr)."""
+
+    @staticmethod
+    def build(norm_adj):
+        return Observation(
+            features=np.zeros((2, 1)), norm_adj=norm_adj,
+            ready_positions=np.array([0]), ready_tasks=np.array([0]),
+            proc_features=np.zeros(PROC_FEATURE_DIM), current_proc=0, allow_pass=False,
+        )
+
+    def test_dense_adjacency_names_the_sparse_normaliser(self):
+        with pytest.raises(ValueError, match="gcn_normalize_adjacency_sparse"):
+            self.build(np.eye(2))
+
+    def test_dense_adjacency_assigned_later_is_refused_at_use(self):
+        obs = self.build(sp.identity(2, format="csr"))
+        obs.norm_adj = np.eye(2)
+        with pytest.raises(ValueError, match="gcn_normalize_adjacency_sparse"):
+            obs.adjacency_parts()
+
+    def test_parts_and_matrix_describe_one_adjacency(self):
+        matrix = sp.csr_matrix(np.array([[0.5, 0.25], [0.0, 1.0]]))
+        parts = (matrix.data, matrix.indices, matrix.indptr)
+        from_parts = self.build(parts)
+        assert "norm_adj" not in from_parts.__dict__  # built on first read
+        assert from_parts.adjacency_parts() is parts
+        np.testing.assert_array_equal(from_parts.norm_adj.toarray(), matrix.toarray())
+        from_matrix = self.build(matrix)
+        assert from_matrix.norm_adj is matrix
+        for a, b in zip(from_matrix.adjacency_parts(), parts):
+            assert a is b
+
+    def test_parts_need_csr_dtypes(self):
+        with pytest.raises(ValueError, match="int32"):
+            self.build((np.ones(2), np.arange(2), np.arange(3)))
+
+    def test_non_csr_sparse_and_non_square_are_refused(self):
+        with pytest.raises(ValueError, match="csr_matrix"):
+            self.build(sp.identity(2, format="coo"))
+        with pytest.raises(ValueError, match="square"):
+            self.build(sp.csr_matrix((2, 3)))

@@ -45,7 +45,7 @@ def _workload(family, tiles):
     return workloads.get("single", kernel=family, tiles=tiles)
 
 
-def make_vec(family, tiles, window, sigma, sparse, streaming, k, mixed_kernels, seed):
+def make_vec(family, tiles, window, sigma, streaming, k, mixed_kernels, seed):
     """K members; ``mixed_kernels`` alternates two platforms, so no kernel
     is shared and the batch spans one kernel per member."""
     workload = _workload(family, tiles)
@@ -57,12 +57,12 @@ def make_vec(family, tiles, window, sigma, sparse, streaming, k, mixed_kernels, 
         if streaming:
             envs.append(StreamingSchedulingEnv(
                 workload, platform, arrival=PoissonArrivals(0.02), num_jobs=3,
-                noise=noise, window=window, rng=rng, sparse_state=sparse,
+                noise=noise, window=window, rng=rng,
             ))
         else:
             envs.append(SchedulingEnv(
                 workload.sample, platform, workload.durations, noise=noise,
-                window=window, rng=rng, sparse_state=sparse,
+                window=window, rng=rng,
             ))
     return (VecStreamingEnv if streaming else VecSchedulingEnv)(envs)
 
@@ -92,27 +92,26 @@ def drive(vec, steps, seed):
     tiles=st.integers(2, 4),
     window=st.integers(0, 3),
     sigma=st.sampled_from([0.0, 0.3]),
-    sparse=st.booleans(),
     streaming=st.booleans(),
     k=st.integers(1, 8),
     mixed_kernels=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_batch_matches_reference(
-    family, tiles, window, sigma, sparse, streaming, k, mixed_kernels, seed
+    family, tiles, window, sigma, streaming, k, mixed_kernels, seed
 ):
-    vec = make_vec(family, tiles, window, sigma, sparse, streaming, k,
-                   mixed_kernels, seed)
+    vec = make_vec(family, tiles, window, sigma, streaming, k, mixed_kernels, seed)
     assert (vec.kernel is None) == (mixed_kernels and k > 1)
     drive(vec, steps=25, seed=seed)
 
 
 @pytest.mark.parametrize("streaming", [False, True])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_auto_reset_members_join_the_step_batch(streaming, sparse):
+@pytest.mark.parametrize("mixed_kernels", [False, True])
+def test_auto_reset_members_join_the_step_batch(streaming, mixed_kernels):
     """Members that finish inside a step are re-initialised and built in
-    the same batch as the members that merely advanced."""
-    vec = make_vec("cholesky", 2, 2, 0.3, sparse, streaming, 5, False, 7)
+    the same batch as the members that merely advanced, whether they share
+    one kernel or each own one."""
+    vec = make_vec("cholesky", 2, 2, 0.3, streaming, 5, mixed_kernels, 7)
     resets = drive(vec, steps=120, seed=7)
     assert resets >= 5
 
@@ -120,9 +119,9 @@ def test_auto_reset_members_join_the_step_batch(streaming, sparse):
 def test_build_observations_mixes_kernels_and_graphs():
     """One call over members of two vec envs (two kernels), each member on
     its own graph; members of different feature widths are refused."""
-    a = make_vec("mixed", 3, 2, 0.3, False, False, 3, False, 1)
-    b = make_vec("mixed", 3, 2, 0.3, True, False, 2, False, 2)
-    c = make_vec("mixed", 3, 2, 0.3, False, True, 1, False, 3)
+    a = make_vec("mixed", 3, 2, 0.3, False, 3, False, 1)
+    b = make_vec("mixed", 3, 2, 0.3, False, 2, False, 2)
+    c = make_vec("mixed", 3, 2, 0.3, True, 1, False, 3)
     for vec in (a, b, c):
         vec.reset()
     envs = a.envs + b.envs
@@ -154,10 +153,10 @@ def test_single_environment_build_is_the_k1_batch():
         ob = env.reset().obs if result.done else result.obs
 
 
-@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("mixed_kernels", [False, True])
 @pytest.mark.parametrize("streaming", [False, True])
-def test_codec_payload_of_a_view_equals_the_reference(sparse, streaming):
-    vec = make_vec("mixed", 3, 2, 0.3, sparse, streaming, 3, False, 11)
+def test_codec_payload_of_a_view_equals_the_reference(mixed_kernels, streaming):
+    vec = make_vec("mixed", 3, 2, 0.3, streaming, 3, mixed_kernels, 11)
     batch = vec.reset().obs
     for env, ob in zip(vec.envs, batch):
         payload = encode_observation(ob)
@@ -168,12 +167,13 @@ def test_codec_payload_of_a_view_equals_the_reference(sparse, streaming):
 
 
 def test_views_read_the_batch_lazily_and_accept_writes():
-    vec = make_vec("cholesky", 3, 2, 0.0, False, False, 2, False, 3)
+    vec = make_vec("cholesky", 3, 2, 0.0, False, 2, False, 3)
     batch = vec.reset().obs
     view = batch[1]
     assert "norm_adj" not in view.__dict__
     assert view.norm_adj is view.norm_adj  # built once, then cached
-    assert not view.norm_adj.flags.writeable
+    assert not any(a.flags.writeable for a in view.adjacency_parts())
+    assert not view.norm_adj.data.flags.writeable
     assert view.features.base is batch.feats or view.features.base is batch.feats.base
     view.features = np.zeros((1, 1))  # a plain attribute once assigned
     assert view.features.shape == (1, 1)

@@ -51,9 +51,8 @@ def _twin_vecs(k, noise=None, tiles=4, **env_kw):
 
 def _assert_obs_equal(a, b, member):
     assert np.array_equal(a.features, b.features), f"features differ (member {member})"
-    na = a.norm_adj.toarray() if hasattr(a.norm_adj, "toarray") else a.norm_adj
-    nb = b.norm_adj.toarray() if hasattr(b.norm_adj, "toarray") else b.norm_adj
-    assert np.array_equal(na, nb)
+    for pa, pb in zip(a.adjacency_parts(), b.adjacency_parts()):
+        assert np.array_equal(pa, pb)
     assert np.array_equal(a.ready_positions, b.ready_positions)
     assert np.array_equal(a.ready_tasks, b.ready_tasks)
     assert np.array_equal(a.proc_features, b.proc_features)
@@ -67,14 +66,11 @@ def _assert_obs_equal(a, b, member):
 # --------------------------------------------------------------------- #
 
 
-def _static(noise, sparse_state):
+def _static(noise):
     graph = cholesky_dag(4)
 
     def make(k, rng):
-        return SchedulingEnv(
-            graph, PLATFORM, CHOLESKY_DURATIONS, noise=noise, rng=rng,
-            sparse_state=sparse_state,
-        )
+        return SchedulingEnv(graph, PLATFORM, CHOLESKY_DURATIONS, noise=noise, rng=rng)
 
     return make
 
@@ -123,8 +119,7 @@ def _tie(reward_mode):
 
 
 _STATIC = {
-    f"{layout}-{noise_id}": (_static(noise, layout == "sparse"), VecSchedulingEnv)
-    for layout in ("dense", "sparse")
+    f"sparse-{noise_id}": (_static(noise), VecSchedulingEnv)
     for noise_id, noise in (("deterministic", NoNoise()), ("noisy", GaussianNoise(0.25)))
 }
 _STREAMING = {

@@ -101,10 +101,17 @@ class TestCommands:
     def test_train_terminal_reward_and_sparse(self, tmp_path, capsys):
         rc = main([
             "train", "--tiles", "2", "--updates", "2",
-            "--reward-mode", "terminal", "--sparse-state",
+            "--reward-mode", "terminal",
         ])
         assert rc == 0
         assert "trained" in capsys.readouterr().out
+
+    def test_retired_sparse_state_flag_is_refused(self, capsys):
+        """Every observation is CSR; the old switch is an unknown option."""
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--tiles", "2", "--updates", "1", "--sparse-state"])
+        assert info.value.code == 2
+        assert "--sparse-state" in capsys.readouterr().err
 
     def test_compare_with_agent(self, tmp_path, capsys):
         ckpt = str(tmp_path / "agent.npz")

@@ -105,6 +105,27 @@ class TestSpecSerialization:
         assert "compiled_train" not in spec.to_dict()
 
 
+class TestRetiredSparseStateKey:
+    """Every observation is CSR; the old dense/CSR switch is ignored."""
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_key_is_ignored(self, value):
+        spec = ExperimentSpec(window=3, workload={"tiles": 3})
+        loaded = ExperimentSpec.from_dict({**spec.to_dict(), "sparse_state": value})
+        assert loaded == spec
+        assert "sparse_state" not in loaded.to_dict()
+
+    def test_fixture_carrying_the_key_loads(self):
+        with open(os.path.join(FIXTURES, "spec_with_mirrors.json")) as fh:
+            payload = fh.read()
+        assert "sparse_state" in json.loads(payload)
+        assert "sparse_state" not in ExperimentSpec.from_json(payload).to_dict()
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec(sparse_state=True)
+
+
 class TestRemovedWorkersField:
     """``workers`` left the spec with the multiprocess rollout pool."""
 
@@ -290,7 +311,6 @@ def experiment_specs(draw):
         gpus=draw(st.integers(0, 4)),
         seed=draw(st.integers(0, 2**31)),
         window=draw(st.integers(0, 4)),
-        sparse_state=draw(st.booleans()),
         num_envs=draw(st.integers(1, 8)),
         reward_mode=draw(st.sampled_from(["dense", "terminal"] + rewards)),
         checkpoint_every=draw(st.integers(0, 50)),
