@@ -80,7 +80,8 @@ def test_perf_a2c_update(benchmark):
         cholesky_dag(4), PLATFORM, CHOLESKY_DURATIONS, NoNoise(), window=2, rng=0
     )
     trainer = ReadysTrainer(env, config=A2CConfig(unroll_length=20), rng=0)
-    transitions, bootstrap = trainer._collect_unroll()
+    unrolls, bootstraps = trainer._collect_unrolls()
+    transitions, bootstrap = unrolls[0], bootstraps[0]
 
     def update():
         return trainer.updater.update(transitions, bootstrap)

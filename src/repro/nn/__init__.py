@@ -35,7 +35,6 @@ from repro.nn.sparse import (
     sparse_matmul,
     gcn_normalize_adjacency_sparse,
     edges_to_sparse_adjacency,
-    block_diag_adjacency_sparse,
 )
 from repro.nn.compile import TrainingCompiler
 from repro.nn import init
@@ -68,7 +67,6 @@ __all__ = [
     "sparse_matmul",
     "gcn_normalize_adjacency_sparse",
     "edges_to_sparse_adjacency",
-    "block_diag_adjacency_sparse",
     "TrainingCompiler",
     "init",
 ]

@@ -19,6 +19,9 @@ passes its allocator and reads back the intermediates its backward needs
 
 ``weights`` is the agent's parameter arrays in ``agent.parameters()`` order:
 ``W, b`` of every GCN layer, then the task, pass and value heads.
+:func:`batch_forward` reads one :class:`repro.sim.state.ObservationBatch`
+(its stacked features, block-diagonal CSR parts and action layout);
+:func:`single_forward` reads one observation's arrays.
 """
 
 from __future__ import annotations
@@ -134,35 +137,36 @@ class ForwardArrays:
 
 def batch_forward(
     weights: Sequence[np.ndarray],
-    glue: Any,
+    batch: Any,
     fu: Optional[fusion.FusionLib],
     alloc: Optional[Allocator] = None,
 ) -> ForwardArrays:
-    """The batched forward over ``glue`` (``repro.rl.agent._BatchGlue``).
+    """The batched forward over ``batch`` (a
+    :class:`repro.sim.state.ObservationBatch`).
 
     Mirrors ``ReadysAgent._forward_batch_tensors`` op for op.  With
     ``alloc`` (the training step) every array comes from it and the NumPy
     path also forms the ReLU masks and max-pool tie statistics the backward
     reads; the fused kernels form them either way.
     """
-    if glue.adj_indptr.size - 1 != glue.feats.shape[0]:
+    if batch.adj_indptr.size - 1 != batch.feats.shape[0]:
         # the spmm kernels index rows by indptr unchecked
         raise ValueError(
-            f"feature rows {glue.feats.shape[0]} != adjacency size "
-            f"{glue.adj_indptr.size - 1}"
+            f"feature rows {batch.feats.shape[0]} != adjacency size "
+            f"{batch.adj_indptr.size - 1}"
         )
     keep = alloc is not None
     alloc = alloc or _fresh
-    adj = (glue.adj_indptr, glue.adj_indices, glue.adj_data)
-    layers, masks = _gcn_stack(weights, glue.feats, adj, fu, alloc, keep)
+    adj = (batch.adj_indptr, batch.adj_indices, batch.adj_data)
+    layers, masks = _gcn_stack(weights, batch.feats, adj, fu, alloc, keep)
     h = layers[-1]
     m, hidden = h.shape
-    n = glue.batch
+    n = len(batch)
     w_task, b_task, w_pass, b_pass, w_value, b_value = weights[-6:]
 
     # ---- mean and max pools over every window ---- #
-    starts = np.ascontiguousarray(glue.node_offsets[:-1], dtype=np.int64)
-    counts = np.diff(glue.node_offsets).astype(np.float64).reshape(n, 1)
+    starts = np.ascontiguousarray(batch.node_offsets[:-1], dtype=np.int64)
+    counts = np.diff(batch.node_offsets).astype(np.float64).reshape(n, 1)
     mp = alloc("mp", (n, hidden))
     pooled = alloc("pooled", (n, hidden))
     tie_mask = tie_counts = None
@@ -178,7 +182,7 @@ def batch_forward(
         np.maximum.reduceat(h, starts, axis=0, out=pooled)
         if keep:
             gather_a = alloc("gather_a", (m, hidden))
-            np.take(pooled, glue.graph_ids, axis=0, out=gather_a)
+            np.take(pooled, batch.graph_ids, axis=0, out=gather_a)
             tie_mask = np.equal(h, gather_a, out=alloc("pmask", (m, hidden), np.bool_))
             gather_b = alloc("gather_b", (m, hidden))
             np.copyto(gather_b, tie_mask, casting="unsafe")
@@ -191,26 +195,26 @@ def batch_forward(
     np.add(vh, b_value, out=vh)
 
     # ---- task scores over the ready rows ---- #
-    r = glue.ready_rows.size
-    ready_h = np.take(h, glue.ready_rows, axis=0, out=alloc("ready_h", (r, hidden)))
+    r = batch.ready_rows.size
+    ready_h = np.take(h, batch.ready_rows, axis=0, out=alloc("ready_h", (r, hidden)))
     task_s = np.matmul(ready_h, w_task, out=alloc("task_s", (r, 1)))
     np.add(task_s, b_task, out=task_s)
 
     # ---- pass scores over max pool ‖ processor features ---- #
-    p = glue.pass_idx.size
+    p = batch.pass_idx.size
     comb = alloc("comb", (r + p,))
     comb[:r] = task_s.ravel()
     ctx = None
     if p:
-        ctx = alloc("ctx", (p, hidden + glue.proc_stack.shape[1]))
-        ctx[:, :hidden] = pooled[glue.pass_idx]
-        ctx[:, hidden:] = glue.proc_stack
+        ctx = alloc("ctx", (p, hidden + batch.proc_stack.shape[1]))
+        ctx[:, :hidden] = pooled[batch.pass_idx]
+        ctx[:, hidden:] = batch.proc_stack
         pass_s = np.matmul(ctx, w_pass, out=alloc("pass_s", (p, 1)))
         np.add(pass_s, b_pass, out=pass_s)
         comb[r:] = pass_s.ravel()
 
     # ---- logits in observation order ---- #
-    logits = np.take(comb, glue.perm, out=alloc("logits", (r + p,)))
+    logits = np.take(comb, batch.perm, out=alloc("logits", (r + p,)))
     return ForwardArrays(
         logits=logits, values=vh.ravel(), layers=layers, masks=masks,
         counts=counts, mean_pool=mp, tie_mask=tie_mask,

@@ -1,7 +1,8 @@
 """The A2C/PPO training step on plain parameter arrays.
 
-:func:`array_step` is one update's forward and backward as straight-line
-NumPy (plus the optional C fusion core): the forward half is
+:func:`array_step` is one update's forward and backward over one
+:class:`repro.sim.state.ObservationBatch`, as straight-line NumPy (plus the
+optional C fusion core): the forward half is
 :func:`repro.nn.array_forward.batch_forward`, the same tape-free function
 every rollout, evaluation and served decision runs; the loss terms and the
 backward follow, writing every parameter gradient into caller-owned arrays.
@@ -100,12 +101,12 @@ class TrainingCompiler:
         self._fusion = fusion_for(agent.config.hidden_dim)
 
     def update(
-        self, kind: str, glue: Any, actions: np.ndarray, consts: Dict[str, Any]
+        self, kind: str, batch: Any, actions: np.ndarray, consts: Dict[str, Any]
     ) -> Optional[Dict[str, float]]:
         """Run one full training step (gradients + clip + Adam) if possible.
 
-        ``kind`` is ``"a2c"`` or ``"ppo"``; ``glue`` is the prebuilt batch
-        glue (:class:`repro.rl.agent._BatchGlue`-shaped); ``consts`` carries
+        ``kind`` is ``"a2c"`` or ``"ppo"``; ``batch`` is the update's
+        :class:`repro.sim.state.ObservationBatch`; ``consts`` carries
         the per-call numeric inputs (see :func:`array_step`) and
         ``max_grad_norm``.
 
@@ -117,13 +118,13 @@ class TrainingCompiler:
         if (
             not is_grad_enabled()
             or is_anomaly_enabled()
-            or glue.batch < 2
-            or glue.pass_idx.size == 0
+            or len(batch) < 2
+            or batch.pass_idx.size == 0
         ):
             self.fallbacks += 1
             return None
         stats = array_step(
-            self.agent._weights(), glue, actions, consts, self._buf,
+            self.agent._weights(), batch, actions, consts, self._buf,
             kind=kind, grads=self._grad_views, fu=self._fusion, tracer=self.tracer,
         )
         self.array_steps += 1
@@ -182,7 +183,7 @@ class TrainingCompiler:
 
 def array_step(
     weights: Sequence[np.ndarray],
-    glue: Any,
+    batch: Any,
     actions: np.ndarray,
     consts: Dict[str, Any],
     alloc: Optional[Allocator] = None,
@@ -200,8 +201,9 @@ def array_step(
     A2C, ``normalize_advantage``; for PPO, ``old_log_probs``, (normalised)
     ``advantages`` and ``clip_epsilon``.  ``alloc(name, shape, dtype)``
     supplies the working arrays (fresh ones when ``None``); ``fu`` is the C
-    fusion core or ``None`` for the NumPy kernels.  ``glue`` must hold at
-    least two observations and at least one pass head.
+    fusion core or ``None`` for the NumPy kernels.  ``batch`` (an
+    :class:`~repro.sim.state.ObservationBatch`) must hold at least two
+    observations and at least one pass head.
 
     Every kernel mirrors the exact expression (and, for shared-operand
     accumulations, the exact tape execution order) the autograd tape
@@ -214,28 +216,28 @@ def array_step(
     traced = tracer is not None and tracer.enabled
     handle = tracer.begin("update/forward") if traced else None
 
-    n = glue.batch
+    n = len(batch)
     n_f = float(n)
     base = len(weights) - 6
     num_layers = base // 2
     i_wt, i_bt, i_wp, i_bp, i_wv, i_bv = range(base, base + 6)
 
     # ---- forward: the tape-free forward, into the step's buffers ---- #
-    fwd = batch_forward(weights, glue, fu, alloc=alloc)
-    feats = glue.feats
-    gids = glue.graph_ids
+    fwd = batch_forward(weights, batch, fu, alloc=alloc)
+    feats = batch.feats
+    gids = batch.graph_ids
     m, hidden = fwd.layers[-1].shape
     values = fwd.values
     mp, ready_h, ctx, logits = fwd.mean_pool, fwd.ready_h, fwd.ctx, fwd.logits
     pmask, pcounts = fwd.tie_mask, fwd.tie_counts
-    r = glue.ready_rows.size
-    p_count = glue.pass_idx.size
-    s_total = int(glue.action_offsets[-1])
-    proc_dim = glue.proc_stack.shape[1]
+    r = batch.ready_rows.size
+    p_count = batch.pass_idx.size
+    s_total = int(batch.action_offsets[-1])
+    proc_dim = batch.proc_stack.shape[1]
 
     # ---- segment log-softmax over the per-graph action segments ---- #
-    segs = np.repeat(np.arange(n), glue.num_actions)
-    act_starts = glue.action_offsets[:-1]
+    segs = batch.action_segments
+    act_starts = batch.action_offsets[:-1]
     shift = alloc("shift", (n,))
     np.maximum.reduceat(logits, act_starts, out=shift)
     sg = alloc("sg", (s_total,))
@@ -353,7 +355,7 @@ def array_step(
 
     # undo the batch-order permutation; split into task/pass halves
     gcomb = alloc("gcomb", (s_total,))
-    gcomb[glue.perm] = glogits
+    gcomb[batch.perm] = glogits
     gtask = gcomb[:r].reshape(r, 1)
     gpass = gcomb[r:].reshape(p_count, 1)
 
@@ -364,7 +366,7 @@ def array_step(
     np.matmul(ctx.T, gpass, out=grads[i_wp])
     gpooled = alloc("gpooled", (n, hidden))
     gpooled.fill(0.0)
-    gpooled[glue.pass_idx] = gctx[:, :hidden]
+    gpooled[batch.pass_idx] = gctx[:, :hidden]
     if fu is None:
         gather_a = alloc("gather_a", (m, hidden))  # forward scratch, free
         gather_b = alloc("gather_b", (m, hidden))
@@ -384,7 +386,7 @@ def array_step(
     if fu is None:
         scat_h = alloc("scat_h", (m, hidden))
         scat_h.fill(0.0)
-        scat_h[glue.ready_rows] = gready
+        scat_h[batch.ready_rows] = gready
         np.add(gh, scat_h, out=gh)
     else:
         # one pass over gh: gather(gmp) + masked gather(gpooled/pcounts)
@@ -393,12 +395,12 @@ def array_step(
         np.divide(gpooled, pcounts, out=gpooled)
         ready_inv = alloc("ready_inv", (m,), np.int64)
         ready_inv.fill(-1)
-        ready_inv[glue.ready_rows] = np.arange(r)
+        ready_inv[batch.ready_rows] = np.arange(r)
         fu.gh_accum(gids, ready_inv, gmp, gpooled, pmask, gready, gh)
 
     # GCN stack backward, deepest layer first; the input-feature gradient
     # the tape computes and discards is simply never formed
-    adj_t = transpose_csr(glue.adj)
+    adj_t = transpose_csr(batch.norm_adj)
     ga = alloc("ga", (m, hidden))
     ghw = alloc("ghw", (m, hidden))
     gcur = gh

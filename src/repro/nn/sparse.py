@@ -14,65 +14,10 @@ dense feature operand carries gradients, with ``∂(A·H)/∂H = Aᵀ·g``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from scipy import sparse as sp
 
 from repro.nn.tensor import Tensor
-
-
-def block_diag_parts(parts: Sequence[tuple]) -> tuple:
-    """``(data, int32 indices, int32 indptr)`` of the block-diagonal CSR
-    matrix of square blocks given as ``(data, indices, indptr)`` parts.
-
-    Block rows stay contiguous, so the result is a concatenation of the
-    per-block entries with shifted columns and row pointers.  scipy's
-    generic ``block_diag`` routes every block through COO conversion, which
-    dominates batched-forward time for many small blocks.
-    """
-    if not parts:
-        raise ValueError("need at least one adjacency block")
-    k = len(parts)
-    sizes = np.fromiter((p[2].size - 1 for p in parts), dtype=np.int64, count=k)
-    nnz = np.fromiter((p[1].size for p in parts), dtype=np.int64, count=k)
-    # int32 is scipy's native index dtype — int64 inputs would be converted
-    # (copied) inside the kernels on every batched forward.
-    node_offsets = np.zeros(k, dtype=np.int32)
-    np.cumsum(sizes[:-1], out=node_offsets[1:])
-    entry_offsets = np.zeros(k, dtype=np.int32)
-    np.cumsum(nnz[:-1], out=entry_offsets[1:])
-    indices = np.concatenate([p[1] for p in parts]) + np.repeat(node_offsets, nnz)
-    indptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int32)
-    indptr[1:] = np.concatenate([p[2][1:] for p in parts]) + np.repeat(entry_offsets, sizes)
-    return np.concatenate([p[0] for p in parts]), indices, indptr
-
-
-def block_diag_adjacency_sparse(blocks: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    """CSR block-diagonal matrix from per-graph sparse adjacencies.
-
-    Stacking K window sub-DAGs into one disconnected graph lets a single
-    GCN pass process the whole batch: messages cannot cross the empty
-    off-diagonal blocks, and one sparse matmul costs O(Σ nnzᵢ · h)
-    regardless of batch size.
-    """
-    parts = []
-    for b in blocks:
-        if not sp.issparse(b):
-            raise ValueError(
-                f"adjacency blocks must be scipy sparse matrices, got {type(b).__name__}"
-            )
-        if b.shape[0] != b.shape[1]:
-            raise ValueError(f"adjacency blocks must be square, got shape {b.shape}")
-        csr = b.tocsr()
-        parts.append((
-            np.asarray(csr.data, dtype=np.float64),
-            csr.indices.astype(np.int32, copy=False),
-            csr.indptr.astype(np.int32, copy=False),
-        ))
-    data, indices, indptr = block_diag_parts(parts)
-    total = indptr.size - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(total, total))
 
 
 def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:

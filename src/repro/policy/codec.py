@@ -40,11 +40,11 @@ the decoder refuses, before any array reaches them: size fields that are
 negative or disagree with the buffer length, an adjacency whose shape is
 not ``(m, m)`` for the ``m`` feature rows, an ``indptr`` that does not
 run from 0 up to ``nnz`` without decreasing, a column index outside the
-window (scipy's full format check, plus the first and last row pointer,
-tested directly on the arrays), an empty or ragged ready set, and ready
-positions outside the window.  The encoder range-checks CSR index arrays
-before narrowing them to int32, so a wide index cannot wrap into a
-valid-looking one.
+window (the checks every :class:`Observation` makes of its CSR adjacency:
+scipy's full format check plus the first and last row pointer), an empty
+or ragged ready set, and ready positions outside the window.  The encoder
+range-checks CSR index arrays before narrowing them to int32, so a wide
+index cannot wrap into a valid-looking one.
 
 The process-local ``window_fingerprint`` is deliberately *not* serialised: it
 keys the producing process's state-builder adjacency memo and must never leak
@@ -252,29 +252,19 @@ def decode_observation(payload: Dict[str, Any]) -> Observation:
     if ready_positions.min() < 0 or ready_positions.max() >= m:
         raise CodecError("ready_positions out of window range")
     i32 = np.frombuffer(raw, "<i4", n_i32, 8 * (n_float + n_i64))
-    indices, indptr = i32[:nnz], i32[nnz:]
-    # the forward's spmm kernels index rows and columns by these arrays
-    # unchecked.  Neighbours are compared rather than np.diff taken, whose
-    # int32 subtraction wraps and hides a decreasing step.
-    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
-        raise CodecError(
-            "malformed observation payload: indptr must run from 0 to nnz "
-            "and never decrease"
+    try:  # the Observation refuses CSR parts the forward would misread
+        return Observation(
+            features=floats[: m * f].reshape(m, f),
+            norm_adj=(floats[m * f + n_proc:], i32[:nnz], i32[nnz:]),
+            ready_positions=ready_positions,
+            ready_tasks=ints[n_pos:],
+            proc_features=floats[m * f: m * f + n_proc],
+            current_proc=current_proc,
+            allow_pass=allow_pass,
+            extra_node_features=extra,
         )
-    if nnz and (indices.min() < 0 or indices.max() >= m):
-        raise CodecError(
-            f"malformed observation payload: column indices must lie in [0, {m})"
-        )
-    return Observation(
-        features=floats[: m * f].reshape(m, f),
-        norm_adj=(floats[m * f + n_proc:], indices, indptr),
-        ready_positions=ready_positions,
-        ready_tasks=ints[n_pos:],
-        proc_features=floats[m * f: m * f + n_proc],
-        current_proc=current_proc,
-        allow_pass=allow_pass,
-        extra_node_features=extra,
-    )
+    except ValueError as exc:
+        raise CodecError(f"malformed observation payload: {exc}") from None
 
 
 # --------------------------------------------------------------------------- #

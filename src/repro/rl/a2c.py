@@ -19,7 +19,7 @@ The paper grid-searches ``unroll_length ∈ {20, 40, 60, 80}`` and uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.nn import functional as F
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.rl.agent import BatchedForward, ReadysAgent
-from repro.sim.state import Observation
+from repro.sim.state import Observation, ObservationBatch
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,10 @@ class A2CUpdater:
         normalize = cfg.normalize_advantage and n > 1
         mean_return = float(returns.mean())
 
-        obs_list = [t.obs for t in flat]
-        glue = self.agent._batch_glue(obs_list)
+        batch = ObservationBatch.of([t.obs for t in flat])
         out = self._train_compiler.update(
             "a2c",
-            glue,
+            batch,
             actions,
             {
                 "returns": returns,
@@ -202,7 +201,7 @@ class A2CUpdater:
         )
         if out is None:  # a fallback: the tape runs the step
             out = self._reference_step(
-                lambda: self._loss_terms(obs_list, glue, actions, returns, normalize)
+                lambda: self._loss_terms(batch, actions, returns, normalize)
             )
         return UpdateStats(
             policy_loss=out["policy_loss"],
@@ -238,22 +237,17 @@ class A2CUpdater:
 
     def _loss_terms(
         self,
-        obs_list: List[Observation],
-        glue: Any,
+        batch: ObservationBatch,
         actions: np.ndarray,
         returns: np.ndarray,
         normalize: bool,
     ) -> Tuple[Tensor, Dict[str, float]]:
-        """The tape's forward and loss construction.
-
-        A batch runs over the *same* glue the array step reads; a batch of
-        one routes through :meth:`ReadysAgent.forward`, bit-identical to it.
+        """The tape's forward and loss construction over the *same* batch
+        the array step reads; a batch of one routes through
+        :meth:`ReadysAgent.forward`, bit-identical to it.
         """
         cfg = self.config
-        if len(obs_list) == 1:
-            bf = self.agent.forward_batch_flat(obs_list)
-        else:
-            bf = self.agent._forward_glue(glue)
+        bf = self.agent.forward_batch_flat(batch)
         loss, policy_loss, value_loss, entropy = a2c_loss_terms(
             bf,
             actions,

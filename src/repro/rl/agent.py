@@ -27,23 +27,23 @@ single-observation mirror of :meth:`forward`, so it is bit-identical to the
 unbatched helper.  The array training step
 (:func:`~repro.nn.compile.array_step`) runs the same batched function as its
 forward half; :meth:`_forward_batch_tensors` builds the tape's loss graph on
-the updates it falls back on.
+the updates it falls back on.  Every batched forward reads one
+:class:`~repro.sim.state.ObservationBatch`: the state builder's batch as it
+is, or :meth:`ObservationBatch.of <repro.sim.state.ObservationBatch.of>` a
+list of observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro import obs as _obs
 from repro.nn import functional as F
 from repro.nn.array_forward import batch_forward, single_forward
 from repro.nn.layers import GCNStack, Linear, Module
-from repro.nn.sparse import block_diag_parts
 from repro.nn.tensor import Tensor
 from repro.sim.state import Observation, ObservationBatch
 from repro.utils.seeding import SeedLike, as_generator
@@ -155,90 +155,6 @@ class BatchedForward:
         return self.logits[slice(int(self.action_offsets[i]), int(self.action_offsets[i + 1]))]
 
 
-@dataclass
-class _BatchGlue:
-    """Pure-NumPy assembly of a batched forward (no tensor ops).
-
-    Shared between the tape-free forward
-    (:func:`repro.nn.array_forward.batch_forward`), the reference
-    :meth:`ReadysAgent.forward_batch_flat` and the array training step,
-    so all three feed *the same arrays* into the network.  Built from an
-    :class:`~repro.sim.state.ObservationBatch` it reuses the batch's arrays
-    as they are; built from a list of observations it concatenates their
-    parts.  The adjacency is the block-diagonal CSR's raw parts; the
-    ``csr_matrix`` the tape needs is only built on first use of :attr:`adj`.
-    """
-
-    batch: int
-    sizes: List[int]
-    feats: np.ndarray
-    graph_ids: np.ndarray
-    node_offsets: np.ndarray
-    adj_data: np.ndarray
-    adj_indices: np.ndarray
-    adj_indptr: np.ndarray
-    num_ready: np.ndarray
-    ready_rows: np.ndarray
-    pass_idx: np.ndarray
-    proc_stack: Optional[np.ndarray]
-    num_actions: np.ndarray
-    action_offsets: np.ndarray
-    perm: np.ndarray
-
-    @cached_property
-    def adj(self) -> sp.csr_matrix:
-        """The block-diagonal adjacency as a ``csr_matrix`` (the tape's
-        operand; both backwards cache its transpose on it)."""
-        n = self.feats.shape[0]
-        return sp.csr_matrix(
-            (self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n)
-        )
-
-
-def _action_layout(
-    num_ready: np.ndarray, num_actions: np.ndarray, pass_idx: np.ndarray
-) -> dict:
-    """``num_actions``, ``action_offsets`` and the ``perm`` gather that
-    reorders [all task logits..., all pass logits...] observation-major as
-    [obs0 tasks, obs0 pass?, obs1 tasks, ...]."""
-    action_offsets = np.concatenate(([0], np.cumsum(num_actions)))
-    task_offsets = np.concatenate(([0], np.cumsum(num_ready)))
-    total_tasks = int(task_offsets[-1])
-    perm = np.empty(int(action_offsets[-1]), dtype=np.int64)
-    # task entry k of obs i sits at output slot action_offsets[i] + k
-    within = np.arange(total_tasks) - np.repeat(task_offsets[:-1], num_ready)
-    perm[np.repeat(action_offsets[:-1], num_ready) + within] = np.arange(total_tasks)
-    if pass_idx.size:
-        # the ∅ entry of obs i follows its tasks
-        perm[action_offsets[pass_idx] + num_ready[pass_idx]] = (
-            total_tasks + np.arange(pass_idx.size)
-        )
-    return {"num_actions": num_actions, "action_offsets": action_offsets, "perm": perm}
-
-
-def _glue_of_batch(batch: ObservationBatch) -> _BatchGlue:
-    """The glue of an observation batch: its arrays, used as they are."""
-    num_ready = batch.num_ready
-    if not num_ready.all():
-        raise ValueError("observation has no ready task — not a decision point")
-    pass_idx = np.flatnonzero(batch.allow_pass)
-    return _BatchGlue(
-        batch=len(batch),
-        sizes=batch.sizes,
-        feats=batch.feats,
-        graph_ids=batch.graph_ids,
-        node_offsets=batch.node_offsets,
-        adj_data=batch.adj_data,
-        adj_indices=batch.adj_indices,
-        adj_indptr=batch.adj_indptr,
-        num_ready=num_ready,
-        ready_rows=batch.ready_rows,
-        pass_idx=pass_idx,
-        proc_stack=batch.proc_features[pass_idx] if pass_idx.size else None,
-        **_action_layout(num_ready, num_ready + batch.allow_pass, pass_idx),
-    )
-
-
 class ReadysAgent(Module):
     """GCN encoder + actor/critic heads."""
 
@@ -283,77 +199,25 @@ class ReadysAgent(Module):
     # batched forward
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _batch_glue(obs_list: Sequence[Observation]) -> _BatchGlue:
-        """Assemble the block-diagonal arrays of one batched forward."""
-        if isinstance(obs_list, ObservationBatch):
-            return _glue_of_batch(obs_list)
-        batch = len(obs_list)
-        sizes = [o.num_nodes for o in obs_list]
-        for o in obs_list:
-            if len(o.ready_positions) == 0:
-                raise ValueError("observation has no ready task — not a decision point")
-        feats = np.concatenate([o.features for o in obs_list], axis=0)
-        graph_ids = np.repeat(np.arange(batch), sizes)
-        parts = [o.adjacency_parts() for o in obs_list]
-        for o, part in zip(obs_list, parts):
-            if part[2].size - 1 != o.num_nodes:
-                raise ValueError(
-                    f"feature rows {o.num_nodes} != adjacency size {part[2].size - 1}"
-                )
-        adj_data, adj_indices, adj_indptr = block_diag_parts(parts)
-
-        num_ready = np.array([len(o.ready_positions) for o in obs_list])
-        node_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        ready_rows = np.concatenate(
-            [np.asarray(o.ready_positions) for o in obs_list]
-        ) + np.repeat(node_offsets[:-1], num_ready)
-
-        pass_idx = np.array(
-            [i for i, o in enumerate(obs_list) if o.allow_pass], dtype=np.int64
-        )
-        proc_stack = (
-            np.stack([obs_list[i].proc_features for i in pass_idx])
-            if pass_idx.size
-            else None
-        )
-        num_actions = np.array([o.num_actions for o in obs_list])
-        return _BatchGlue(
-            batch=batch,
-            sizes=sizes,
-            feats=feats,
-            graph_ids=graph_ids,
-            node_offsets=node_offsets,
-            adj_data=adj_data,
-            adj_indices=adj_indices,
-            adj_indptr=adj_indptr,
-            num_ready=num_ready,
-            ready_rows=ready_rows,
-            pass_idx=pass_idx,
-            proc_stack=proc_stack,
-            **_action_layout(num_ready, num_actions, pass_idx),
-        )
-
-    def _forward_batch_tensors(self, glue: _BatchGlue) -> Tuple[Tensor, Tensor]:
+    def _forward_batch_tensors(self, batch: ObservationBatch) -> Tuple[Tensor, Tensor]:
         """The tensor-op half of the batched forward."""
-        h = self.gcn(Tensor(glue.feats), glue.adj)  # (Σm, hidden)
+        k = len(batch)
+        h = self.gcn(Tensor(batch.feats), batch.norm_adj)  # (Σm, hidden)
 
-        values = self.value_head(
-            F.segment_mean_pool(h, glue.graph_ids, glue.batch)
-        ).reshape(-1)
+        values = self.value_head(F.segment_mean_pool(h, batch.graph_ids, k)).reshape(-1)
 
-        task_logits = self.task_score(h[glue.ready_rows]).reshape(-1)  # (Σ Aᵢ,)
+        task_logits = self.task_score(h[batch.ready_rows]).reshape(-1)  # (Σ Aᵢ,)
 
-        if glue.pass_idx.size:
-            pooled = F.segment_max_pool(h, glue.graph_ids, glue.batch)  # (B, hidden)
+        if batch.pass_idx.size:
+            pooled = F.segment_max_pool(h, batch.graph_ids, k)  # (B, hidden)
             ctx = Tensor.concatenate(
-                [pooled[glue.pass_idx], Tensor(glue.proc_stack)], axis=1
+                [pooled[batch.pass_idx], Tensor(batch.proc_stack)], axis=1
             )
             pass_logits = self.pass_score(ctx).reshape(-1)  # (n_pass,)
             combined = Tensor.concatenate([task_logits, pass_logits])
         else:
             combined = task_logits
-        logits = combined[glue.perm]
+        logits = combined[batch.perm]
         return logits, values
 
     def forward_batch_flat(self, obs_list: Sequence[Observation]) -> BatchedForward:
@@ -365,8 +229,6 @@ class ReadysAgent(Module):
         *bit-identical* to the single-observation path — this is what lets a
         K=1 vectorised trainer reproduce the legacy trainer exactly.
         """
-        if len(obs_list) == 0:
-            raise ValueError("forward_batch needs at least one observation")
         if len(obs_list) == 1:
             logits, value = self.forward(obs_list[0])
             n = logits.shape[0]
@@ -377,16 +239,16 @@ class ReadysAgent(Module):
                 action_offsets=np.array([0, n], dtype=np.int64),
             )
 
-        return self._forward_glue(self._batch_glue(obs_list))
+        return self._forward_batch(ObservationBatch.of(obs_list))
 
-    def _forward_glue(self, glue: _BatchGlue) -> BatchedForward:
-        """The batched forward over prebuilt glue (B >= 1, no B == 1 routing)."""
-        logits, values = self._forward_batch_tensors(glue)
+    def _forward_batch(self, batch: ObservationBatch) -> BatchedForward:
+        """The batched forward over a batch (B >= 1, no B == 1 routing)."""
+        logits, values = self._forward_batch_tensors(batch)
         return BatchedForward(
             logits=logits,
             values=values,
-            action_segments=np.repeat(np.arange(glue.batch), glue.num_actions),
-            action_offsets=glue.action_offsets,
+            action_segments=batch.action_segments,
+            action_offsets=batch.action_offsets,
         )
 
     def forward_batch(
@@ -428,12 +290,10 @@ class ReadysAgent(Module):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The batched forward without the tape: flat logits, (B,) values
         and the (B+1,) action offsets — bitwise equal to
-        :meth:`_forward_glue`'s tensors."""
-        if len(obs_list) == 0:
-            raise ValueError("forward_batch needs at least one observation")
-        glue = self._batch_glue(obs_list)
-        fwd = batch_forward(self._weights(), glue, None)
-        return fwd.logits, fwd.values, glue.action_offsets
+        :meth:`_forward_batch`'s tensors."""
+        batch = ObservationBatch.of(obs_list)
+        fwd = batch_forward(self._weights(), batch, None)
+        return fwd.logits, fwd.values, batch.action_offsets
 
     def action_distribution(self, obs: Observation) -> np.ndarray:
         """π(a|s) as a plain probability vector (no grad)."""

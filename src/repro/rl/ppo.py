@@ -26,7 +26,7 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.rl.agent import BatchedForward, ReadysAgent
 from repro.sim.env import SchedulingEnv
-from repro.sim.state import Observation
+from repro.sim.state import Observation, ObservationBatch
 from repro.utils.seeding import SeedLike, as_generator
 
 
@@ -159,7 +159,7 @@ class PPOTrainer:
         self._obs: Optional[Observation] = None
         self.episode_makespans: List[float] = []
         self.episode_rewards: List[float] = []
-        # every epoch is one array step over the rollout's glue, built once
+        # every epoch is one array step over the rollout's batch, built once
         # per update; the epochs it refuses run the tape
         self._train_compiler = TrainingCompiler(self.agent, self.optimizer)
         self._train_compiler.tracer = obs_mod.TRACER
@@ -205,7 +205,7 @@ class PPOTrainer:
         """``num_epochs`` clipped-surrogate passes over one rollout.
 
         Every epoch runs *one* batched forward over the whole rollout
-        (block-diagonal GCN, segment log-softmax) — the glue is built once
+        (block-diagonal GCN, segment log-softmax) — the batch is built once
         and shared by all epochs.
         """
         if not transitions:
@@ -222,7 +222,7 @@ class PPOTrainer:
         old_log_probs = np.array(
             [t.log_prob for t in transitions], dtype=np.float64
         )
-        glue = self.agent._batch_glue([t.obs for t in transitions])
+        batch = ObservationBatch.of([t.obs for t in transitions])
 
         keys = ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
         totals = dict.fromkeys(keys, 0.0)
@@ -236,10 +236,10 @@ class PPOTrainer:
             "max_grad_norm": cfg.max_grad_norm,
         }
         for _ in range(cfg.num_epochs):
-            out = self._train_compiler.update("ppo", glue, actions, consts)
+            out = self._train_compiler.update("ppo", batch, actions, consts)
             if out is None:
                 out = self._reference_epoch(
-                    glue, actions, returns, advantages, old_log_probs
+                    batch, actions, returns, advantages, old_log_probs
                 )
             for key in keys:
                 totals[key] += out[key] / cfg.num_epochs
@@ -247,7 +247,7 @@ class PPOTrainer:
 
     def _reference_epoch(
         self,
-        glue,
+        batch: ObservationBatch,
         actions: np.ndarray,
         returns: np.ndarray,
         advantages: np.ndarray,
@@ -259,7 +259,7 @@ class PPOTrainer:
         traced = tracer.enabled
         handle = tracer.begin("update/forward") if traced else None
         loss, aux = self._reference_terms(
-            glue, actions, returns, advantages, old_log_probs
+            batch, actions, returns, advantages, old_log_probs
         )
         if traced:
             tracer.end(handle)
@@ -277,17 +277,17 @@ class PPOTrainer:
 
     def _reference_terms(
         self,
-        glue,
+        batch: ObservationBatch,
         actions: np.ndarray,
         returns: np.ndarray,
         advantages: np.ndarray,
         old_log_probs: np.ndarray,
     ) -> Tuple[Tensor, Dict[str, float]]:
-        """The tape's forward and loss construction, over the *same* glue
+        """The tape's forward and loss construction, over the *same* batch
         the array step reads."""
         cfg = self.config
         loss, policy_loss, value_loss, entropy, logp_actions = ppo_loss_terms(
-            self.agent._forward_glue(glue),
+            self.agent._forward_batch(batch),
             actions,
             returns,
             old_log_probs=old_log_probs,

@@ -211,16 +211,6 @@ class ReadysTrainer:
                 bootstraps[i] = float(v)
         return unrolls, bootstraps
 
-    def _collect_unroll(self) -> Tuple[List[Transition], float]:
-        """Single-env unroll (K = 1 only) — the historical collection API."""
-        if self.num_envs != 1:
-            raise RuntimeError(
-                "_collect_unroll is the single-env API; use _collect_unrolls "
-                f"with {self.num_envs} environments"
-            )
-        unrolls, bootstraps = self._collect_unrolls()
-        return unrolls[0], bootstraps[0]
-
     def _one_update(self) -> UpdateStats:
         """One unroll+update cycle, instrumented when tracing/metrics are on.
 

@@ -144,10 +144,12 @@ class Observation:
                     "norm_adj parts must be (float64 data, int32 indices, "
                     f"int32 indptr), got ({data.dtype}, {indices.dtype}, {indptr.dtype})"
                 )
+            _check_csr(data, indices, indptr, max(indptr.size - 1, 0))
             self._adj_parts = adj
             del self.__dict__["norm_adj"]  # built over the parts when read
         else:
             _check_sparse(adj)
+            _check_csr(adj.data, adj.indices, adj.indptr, adj.shape[0])
 
     def adjacency_parts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(data, indices, indptr)`` of ``norm_adj`` — the CSR parts the
@@ -178,6 +180,25 @@ def _check_sparse(adj: object) -> None:
         )
     if adj.shape[0] != adj.shape[1]:
         raise ValueError(f"norm_adj must be square, got shape {adj.shape}")
+
+
+def _check_csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rows: int
+) -> None:
+    """Refuse CSR parts the forwards' spmm kernels would read out of bounds
+    (they index rows and columns by these arrays unchecked).  Neighbouring
+    row pointers are compared rather than ``np.diff`` taken, whose int32
+    subtraction wraps and hides a decreasing step."""
+    nnz = indices.size
+    if indptr.size != rows + 1 or data.size != nnz:
+        raise ValueError(
+            f"indptr must have {rows + 1} entries and data {nnz}, got "
+            f"{indptr.size} and {data.size}"
+        )
+    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError("indptr must run from 0 to nnz and never decrease")
+    if nnz and (indices.min() < 0 or indices.max() >= rows):
+        raise ValueError(f"column indices must lie in [0, {rows})")
 
 
 class BatchObservation(Observation):
@@ -228,8 +249,11 @@ class BatchObservation(Observation):
         return self._batch.proc_features[self._index]
 
     @_lazy
-    def window_fingerprint(self) -> bytes:
-        return self._batch.tasks[self._nodes()].tobytes()
+    def window_fingerprint(self) -> Optional[bytes]:
+        b = self._batch
+        if b.tasks is None:  # a batch of observations: its member's own
+            return b.sources[self._index].window_fingerprint
+        return b.tasks[self._nodes()].tobytes()
 
     @_lazy
     def _adj_parts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,13 +270,20 @@ class BatchObservation(Observation):
 
 
 class ObservationBatch(Sequence):
-    """K observations stored as the flat arrays of one batched forward.
+    """K decision points stored as the flat arrays of one batched forward.
 
+    This is the network's only batched input: the tape-free forward, the
+    array training step and the tape's batched forward all read it.
     ``feats`` stacks the K windows' node features; ``adj_data``/
     ``adj_indices``/``adj_indptr`` are their block-diagonal normalised
     adjacency as one int32 CSR; ``ready_rows`` are the ready tasks' rows in
-    ``feats``.  Indexing yields :class:`BatchObservation` views, so a batch
-    is a drop-in ``Sequence[Observation]``.
+    ``feats``.  :func:`build_observations` emits one; :meth:`of` makes one
+    from a list of observations.  The action layout (``pass_idx``,
+    ``proc_stack``, ``num_actions``, ``action_offsets``, ``action_segments``,
+    ``perm``), the ``norm_adj`` matrix and the fields only views read are
+    computed on first read, so a batch that is only forwarded pays for none
+    of the view fields.  Indexing yields :class:`BatchObservation` views, so a
+    batch is a drop-in ``Sequence[Observation]``.
     """
 
     def __init__(
@@ -261,7 +292,7 @@ class ObservationBatch(Sequence):
         feats: np.ndarray,
         node_offsets: np.ndarray,
         graph_ids: np.ndarray,
-        tasks: np.ndarray,
+        tasks: Optional[np.ndarray],
         adj_data: np.ndarray,
         adj_indices: np.ndarray,
         adj_indptr: np.ndarray,
@@ -271,6 +302,7 @@ class ObservationBatch(Sequence):
         allow_pass: np.ndarray,
         proc_features: np.ndarray,
         extra_node_features: np.ndarray,
+        sources: Optional[Sequence] = None,
     ) -> None:
         self.feats = feats
         """(Σm, F) stacked node features"""
@@ -279,7 +311,8 @@ class ObservationBatch(Sequence):
         self.graph_ids = graph_ids
         """(Σm,) member index of every node row"""
         self.tasks = tasks
-        """(Σm,) task id of every node row (sorted within a member)"""
+        """(Σm,) task id of every node row (sorted within a member); None
+        in a batch of observations"""
         self.adj_data = adj_data
         """normalised adjacency value of every stored entry"""
         self.adj_indices = adj_indices
@@ -289,16 +322,142 @@ class ObservationBatch(Sequence):
         self.ready_rows = ready_rows
         """rows of ``feats`` holding ready tasks, member-major"""
         self.num_ready = num_ready
-        self.ready_offsets = np.zeros(len(num_ready) + 1, dtype=np.int64)
-        num_ready.cumsum(out=self.ready_offsets[1:])
-        self.ready_tasks = tasks[ready_rows]
-        self.ready_local = ready_rows - node_offsets[graph_ids[ready_rows]]
-        """ready rows relative to their member's first node row"""
         self.current_procs = current_procs
         self.allow_pass = allow_pass
         self.proc_features = proc_features
         """(K, PROC_FEATURE_DIM) processor descriptors"""
         self.extra_node_features = extra_node_features
+        self.sources = sources
+        """the observations a batch of observations was made of (their
+        ready task ids and window fingerprints are read there)"""
+
+    @classmethod
+    def of(cls, observations: Sequence[Observation]) -> "ObservationBatch":
+        """The batch of ``observations`` (a batch is returned as it is).
+
+        Features, ready rows and per-member fields are concatenated.  The
+        adjacencies become one block-diagonal CSR: block rows stay
+        contiguous, so that is a concatenation with shifted columns and row
+        pointers (scipy's generic ``block_diag`` routes every block through
+        COO, which would dominate a batched forward of small windows).
+        """
+        if isinstance(observations, ObservationBatch):
+            return observations
+        k = len(observations)
+        if k == 0:
+            raise ValueError("a batch needs at least one observation")
+        parts = [o.adjacency_parts() for o in observations]
+        positions = [np.asarray(o.ready_positions) for o in observations]
+        sizes = np.fromiter((o.num_nodes for o in observations), np.int64, k)
+        adj_sizes = np.fromiter((p[2].size - 1 for p in parts), np.int64, k)
+        if (sizes != adj_sizes).any():
+            i = int(np.argmax(sizes != adj_sizes))
+            raise ValueError(f"feature rows {sizes[i]} != adjacency size {adj_sizes[i]}")
+        num_ready = np.fromiter((p.size for p in positions), np.int64, k)
+        if not num_ready.all():
+            raise ValueError("observation has no ready task — not a decision point")
+        node_offsets = np.zeros(k + 1, dtype=np.int64)
+        sizes.cumsum(out=node_offsets[1:])
+        nnz = np.fromiter((p[1].size for p in parts), np.int64, k)
+        # int32 is scipy's native index dtype: int64 offsets would make the
+        # spmm kernels copy the indices on every call
+        entry_offsets = np.zeros(k, dtype=np.int32)
+        np.cumsum(nnz[:-1], out=entry_offsets[1:])
+        indptr = np.zeros(int(node_offsets[-1]) + 1, dtype=np.int32)
+        indptr[1:] = np.concatenate([p[2][1:] for p in parts]) + np.repeat(entry_offsets, sizes)
+        ready_local = np.concatenate(positions)
+        batch = cls(
+            feats=np.concatenate([o.features for o in observations], axis=0),
+            node_offsets=node_offsets,
+            graph_ids=np.repeat(np.arange(k), sizes),
+            tasks=None,
+            adj_data=np.concatenate([p[0] for p in parts]),
+            adj_indices=np.concatenate([p[1] for p in parts])
+            + np.repeat(node_offsets[:-1].astype(np.int32), nnz),
+            adj_indptr=indptr,
+            ready_rows=ready_local + np.repeat(node_offsets[:-1], num_ready),
+            num_ready=num_ready,
+            current_procs=np.fromiter((o.current_proc for o in observations), np.int64, k),
+            allow_pass=np.fromiter((o.allow_pass for o in observations), bool, k),
+            proc_features=np.stack([o.proc_features for o in observations]),
+            extra_node_features=np.fromiter(
+                (o.extra_node_features for o in observations), np.int64, k
+            ),
+            sources=observations,
+        )
+        batch.ready_local = ready_local
+        return batch
+
+    # ---- fields the views read ---- #
+
+    @_lazy
+    def ready_offsets(self) -> np.ndarray:
+        """(K+1,) member k's ready rows are ``ready_rows[off[k]:off[k+1]]``"""
+        offsets = np.zeros(len(self) + 1, dtype=np.int64)
+        self.num_ready.cumsum(out=offsets[1:])
+        return offsets
+
+    @_lazy
+    def ready_local(self) -> np.ndarray:
+        """ready rows relative to their member's first node row"""
+        return self.ready_rows - self.node_offsets[self.graph_ids[self.ready_rows]]
+
+    @_lazy
+    def ready_tasks(self) -> np.ndarray:
+        """task id of every ready row"""
+        if self.tasks is None:
+            return np.concatenate([np.asarray(o.ready_tasks) for o in self.sources])
+        return self.tasks[self.ready_rows]
+
+    # ---- what the forwards read beyond the stored arrays ---- #
+
+    @_lazy
+    def norm_adj(self) -> sp.csr_matrix:
+        """The block-diagonal adjacency as a ``csr_matrix`` (the tape's
+        operand; both backwards cache its transpose on it)."""
+        n = self.feats.shape[0]
+        return sp.csr_matrix((self.adj_data, self.adj_indices, self.adj_indptr), shape=(n, n))
+
+    @_lazy
+    def pass_idx(self) -> np.ndarray:
+        """members whose ∅ action is legal"""
+        return np.flatnonzero(self.allow_pass)
+
+    @_lazy
+    def proc_stack(self) -> Optional[np.ndarray]:
+        """(P, PROC_FEATURE_DIM) descriptors of the ``pass_idx`` members"""
+        return self.proc_features[self.pass_idx] if self.pass_idx.size else None
+
+    @_lazy
+    def num_actions(self) -> np.ndarray:
+        """ready tasks plus the legal ∅ of every member"""
+        return self.num_ready + self.allow_pass
+
+    @_lazy
+    def action_offsets(self) -> np.ndarray:
+        """(K+1,) member k's logits are ``logits[off[k]:off[k+1]]``"""
+        offsets = np.zeros(len(self) + 1, dtype=np.int64)
+        self.num_actions.cumsum(out=offsets[1:])
+        return offsets
+
+    @_lazy
+    def action_segments(self) -> np.ndarray:
+        """member index of every flat logit"""
+        return np.repeat(np.arange(len(self)), self.num_actions)
+
+    @_lazy
+    def perm(self) -> np.ndarray:
+        """The gather that reorders [all task logits..., all pass logits...]
+        member-major as [member 0 tasks, its ∅?, member 1 tasks, ...]."""
+        offsets, num_ready, pass_idx = self.action_offsets, self.num_ready, self.pass_idx
+        tasks = self.ready_rows.size
+        perm = np.empty(int(offsets[-1]), dtype=np.int64)
+        # the ∅ entries of earlier members shift a member's task entries
+        shift = np.repeat(offsets[:-1] - self.ready_offsets[:-1], num_ready)
+        perm[np.arange(tasks) + shift] = np.arange(tasks)
+        if pass_idx.size:  # the ∅ entry of a member follows its tasks
+            perm[offsets[pass_idx] + num_ready[pass_idx]] = tasks + np.arange(pass_idx.size)
+        return perm
 
     def __len__(self) -> int:
         return len(self.current_procs)

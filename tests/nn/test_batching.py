@@ -1,12 +1,16 @@
-"""Block-diagonal batching primitives: adjacency stacking + segment ops."""
+"""Block-diagonal batching primitives: adjacency stacking + segment ops.
+
+``ObservationBatch.of`` stacks the windows' CSR adjacencies block-diagonally
+(its full differential test is ``tests/sim/test_observation_batch.py``).
+"""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import block_diag_adjacency_sparse
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.sim.state import PROC_FEATURE_DIM, Observation, ObservationBatch
 from tests.nn.gradcheck import assert_grad_matches
 
 
@@ -15,11 +19,33 @@ def rng():
     return np.random.default_rng(11)
 
 
+def window(adjacency, as_parts=False):
+    """A one-ready-task observation over ``adjacency``."""
+    m = adjacency.shape[0]
+    if as_parts:
+        adjacency = (adjacency.data, adjacency.indices, adjacency.indptr)
+    return Observation(
+        features=np.ones((m, 2)),
+        norm_adj=adjacency,
+        ready_positions=np.array([0]),
+        ready_tasks=np.array([0]),
+        proc_features=np.zeros(PROC_FEATURE_DIM),
+        current_proc=0,
+        allow_pass=False,
+    )
+
+
+def stacked(blocks, as_parts=()):
+    return ObservationBatch.of(
+        [window(b, i in as_parts) for i, b in enumerate(blocks)]
+    ).norm_adj
+
+
 class TestBlockDiagSparse:
     def test_two_blocks_placed_on_diagonal(self, rng):
         a = sp.csr_matrix(rng.random((2, 2)))
         b = sp.csr_matrix(rng.random((3, 3)))
-        out = block_diag_adjacency_sparse([a, b]).toarray()
+        out = stacked([a, b]).toarray()
         assert out.shape == (5, 5)
         np.testing.assert_array_equal(out[:2, :2], a.toarray())
         np.testing.assert_array_equal(out[2:, 2:], b.toarray())
@@ -27,35 +53,36 @@ class TestBlockDiagSparse:
 
     def test_single_block_is_copy(self, rng):
         a = sp.csr_matrix(rng.random((4, 4)))
-        out = block_diag_adjacency_sparse([a])
+        out = stacked([a])
         np.testing.assert_array_equal(out.toarray(), a.toarray())
         assert not np.shares_memory(out.data, a.data)  # no aliasing
 
     def test_matches_scipy_block_diag(self, rng):
         blocks = [sp.csr_matrix(rng.random((k, k)) * (rng.random((k, k)) < 0.5))
                   for k in (1, 3, 2)]
-        out = block_diag_adjacency_sparse(blocks)
+        out = stacked(blocks)
         assert out.indices.dtype == out.indptr.dtype == np.int32
         np.testing.assert_array_equal(out.toarray(), sp.block_diag(blocks).toarray())
 
     def test_accepts_mixed_sparse_formats(self, rng):
-        a = sp.coo_matrix(rng.random((2, 2)))
+        """A member built from a matrix next to one built from CSR parts."""
+        a = sp.csr_matrix(rng.random((2, 2)))
         b = sp.csr_matrix(rng.random((3, 3)))
-        out = block_diag_adjacency_sparse([a, b])
+        out = stacked([a, b], as_parts=(1,))
         assert sp.issparse(out) and out.format == "csr"
-        np.testing.assert_allclose(out.toarray(), sp.block_diag([a, b]).toarray())
+        np.testing.assert_array_equal(out.toarray(), sp.block_diag([a, b]).toarray())
 
     def test_rejects_a_dense_block(self, rng):
-        with pytest.raises(ValueError, match="scipy sparse"):
-            block_diag_adjacency_sparse([sp.csr_matrix(rng.random((2, 2))), rng.random((3, 3))])
+        with pytest.raises(ValueError, match="scipy.sparse"):
+            stacked([sp.csr_matrix(rng.random((2, 2))), rng.random((3, 3))])
 
     def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            block_diag_adjacency_sparse([])
+        with pytest.raises(ValueError, match="at least one"):
+            ObservationBatch.of([])
 
     def test_non_square_raises(self, rng):
-        with pytest.raises(ValueError):
-            block_diag_adjacency_sparse([sp.csr_matrix(rng.random((2, 3)))])
+        with pytest.raises(ValueError, match="square"):
+            stacked([sp.csr_matrix(rng.random((2, 3)))])
 
 
 def naive_segment(op, x, ids, n):

@@ -6,9 +6,9 @@ update as one :func:`repro.nn.compile.array_step`.  Inside
 take the very path an updater runs on a tape fallback (grad disabled,
 anomaly mode, a batch of one, a batch without a pass head) and execute on
 the tape.  Parity tests and the update benchmark build their reference side
-with it.  :func:`tape_terms` is the tape's half of one update over prebuilt
-glue — loss, per-term stats and every parameter gradient — for the
-differential suite ``tests/rl/test_array_step.py``.
+with it.  :func:`tape_terms` is the tape's half of one update over an
+observation batch — loss, per-term stats and every parameter gradient —
+for the differential suite ``tests/rl/test_array_step.py``.
 """
 
 import contextlib
@@ -45,10 +45,11 @@ def assert_ran_compiled(stats):
     assert stats["fallbacks"] == 0 and stats["validation_failures"] == 0, stats
 
 
-def tape_terms(agent, kind, glue, actions, consts):
+def tape_terms(agent, kind, batch, actions, consts):
     """``(loss, stats, grads)`` of one A2C or PPO update built on the tape
-    over ``glue``; ``consts`` is what :func:`array_step` reads."""
-    bf = agent._forward_glue(glue)
+    over the observation ``batch``; ``consts`` is what :func:`array_step`
+    reads."""
+    bf = agent._forward_batch(batch)
     common = dict(value_coef=consts["value_coef"], entropy_coef=consts["entropy_coef"])
     if kind == "a2c":
         loss, policy, value, entropy = a2c_loss_terms(

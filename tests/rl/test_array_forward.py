@@ -57,14 +57,14 @@ def assert_matches_tape(agent, observations, fused):
     can build it), else its NumPy path."""
     with no_grad():
         if len(observations) > 1:
-            glue = agent._batch_glue(observations)
-            bf = agent._forward_glue(glue)
-            logits, values, offsets = agent._batch_arrays(observations)
+            batch = ObservationBatch.of(observations)
+            bf = agent._forward_batch(batch)
+            logits, values, offsets = agent._batch_arrays(batch)
             same_bits(logits, bf.logits.data)
             same_bits(values, bf.values.data)
             same_bits(offsets, bf.action_offsets)
             fu = fusion_for(agent.config.hidden_dim) if fused else None
-            fwd = batch_forward(agent._weights(), glue, fu)
+            fwd = batch_forward(agent._weights(), batch, fu)
             same_bits(fwd.logits, bf.logits.data)
             same_bits(fwd.values, bf.values.data)
         for obs in observations:
@@ -173,9 +173,9 @@ def test_forwards_read_weights_loaded_after_construction():
     assert value != before[1]
     assert not np.array_equal(actions, before[0])
     with no_grad():
-        logits, values = agent._forward_batch_tensors(agent._batch_glue(observations))
+        logits, values = agent._forward_batch_tensors(ObservationBatch.of(observations))
         tape_value = agent.forward(observations[0])[1]
-    offsets = agent._batch_glue(observations).action_offsets
+    offsets = ObservationBatch.of(observations).action_offsets
     same_bits(actions, segment_argmax(logits.data, offsets))
     same_bits(value, float(tape_value.data[0]))
 
@@ -223,11 +223,11 @@ def test_adjacency_size_mismatch_is_refused(as_parts, delta):
 def test_batch_forward_refuses_a_short_adjacency():
     rng = np.random.default_rng(4)
     agent = make_agent(feature_dim=FEATURE_DIM, rng=1)
-    glue = agent._batch_glue([random_obs(rng, n) for n in (3, 5)])
-    glue.adj_indptr = glue.adj_indptr[:-1]
+    batch = ObservationBatch.of([random_obs(rng, n) for n in (3, 5)])
+    batch.adj_indptr = batch.adj_indptr[:-1]
     for fu in (None, fusion_for(agent.config.hidden_dim)):
         with pytest.raises(ValueError, match="adjacency size"):
-            batch_forward(agent._weights(), glue, fu)
+            batch_forward(agent._weights(), batch, fu)
 
 
 # --------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from repro.nn.compile import array_step
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.rl.a2c import A2CConfig, A2CUpdater, Transition
 from repro.rl.trainer import default_agent
+from repro.sim.state import ObservationBatch
 from tests.reference_tape import reference_tape, tape_terms
 from tests.rl.test_agent import make_agent
 from tests.rl.test_array_forward import make_vec, randomize, same_bits
@@ -100,18 +101,18 @@ def test_array_step_equals_the_tape(
         agent = randomize(default_agent(vec, hidden_dim=16, num_gcn_layers=layers, rng=seed), seed)
         agents.append(kill_units(agent) if dead else agent)
     tape_agent, array_agent = agents
-    glue = tape_agent._batch_glue(observations)
-    assume(glue.pass_idx.size > 0)  # the array step needs a pass head
+    batch = ObservationBatch.of(observations)
+    assume(batch.pass_idx.size > 0)  # the array step needs a pass head
     n = len(observations)
     actions = np.array([rng.integers(ob.num_actions) for ob in observations], dtype=np.int64)
     consts = step_consts(kind, n, rng, normalize, *coefs)
     fu = fusion_for(16) if fused else None
 
     # loss, per-term stats and every gradient, byte for byte
-    loss, stats, grads = tape_terms(tape_agent, kind, glue, actions, consts)
+    loss, stats, grads = tape_terms(tape_agent, kind, batch, actions, consts)
     got_grads = [np.empty_like(w) for w in array_agent._weights()]
     got = array_step(
-        array_agent._weights(), glue, actions, consts, kind=kind, grads=got_grads, fu=fu,
+        array_agent._weights(), batch, actions, consts, kind=kind, grads=got_grads, fu=fu,
     )
     same_bits(got["loss"], loss)
     assert set(got) == set(stats)
@@ -126,7 +127,7 @@ def test_array_step_equals_the_tape(
     tape_opt.step()
     owner = TrainingCompiler(array_agent, Adam(array_agent.parameters(), lr=1e-2))
     owner._fusion = fu
-    out = owner.update(kind, glue, actions, consts)
+    out = owner.update(kind, batch, actions, consts)
     same_bits(out["grad_norm"], tape_norm)
     assert owner.stats_dict()["array_steps"] == 1
     for a, b in zip(array_agent._weights(), tape_agent._weights()):

@@ -122,11 +122,6 @@ class TestMultiEnvTraining:
         result = trainer.train_episodes(4)
         assert result.num_episodes >= 4
 
-    def test_single_env_compat_api_rejects_k_gt_1(self):
-        trainer = ReadysTrainer(make_vec(2), rng=0)
-        with pytest.raises(RuntimeError, match="single-env"):
-            trainer._collect_unroll()
-
     def test_unroll_length_below_one_raises_clearly(self):
         trainer = ReadysTrainer(make_env(), rng=0)
         # A2CConfig refuses unroll_length < 1 at construction; force the

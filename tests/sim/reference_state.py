@@ -1,12 +1,13 @@
-"""Frozen reference implementation of observation building and batch glue.
+"""Frozen reference implementation of observation building and batching.
 
 A test-only copy of the per-member state build that preceded the batched
 builder: window nodes from a dense depth-``w`` reachability mask (BFS for
 large graphs), a per-window edge gather with the sparse GCN normalisation,
-the job columns concatenated after the base build, and the list-of-observations batch glue.  It keeps no memo between
-calls, so every observation it returns is computed from the simulation
-alone.  :func:`assert_matches_reference` checks a batch against it bit for
-bit (used by ``test_state_batch.py`` and ``test_vec_parity.py``); nothing in
+the job columns concatenated after the base build, and the batch of a
+list of observations.  It keeps no memo between calls, so every
+observation it returns is computed from the simulation alone.
+:func:`assert_matches_reference` checks a batch against it bit for bit
+(used by ``test_state_batch.py`` and ``test_vec_parity.py``); nothing in
 ``src/`` imports this module.
 """
 
@@ -15,15 +16,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.graphs.features import descendant_type_fractions, node_features
-from repro.nn.sparse import (
-    block_diag_adjacency_sparse,
-    edges_to_sparse_adjacency,
-    gcn_normalize_adjacency_sparse,
-)
+from repro.nn.sparse import edges_to_sparse_adjacency, gcn_normalize_adjacency_sparse
 from repro.platforms.resources import NUM_RESOURCE_TYPES
-from repro.rl.agent import ReadysAgent, _BatchGlue
 from repro.sim.state import (
     NUM_DYNAMIC_FEATURES,
     PROC_FEATURE_DIM,
@@ -154,18 +151,18 @@ class ReferenceStateBuilder:
         )
 
 
-def reference_glue(obs_list) -> _BatchGlue:
-    """The list-of-observations batch glue, block-diagonal CSR included."""
+def reference_batch(obs_list) -> ObservationBatch:
+    """The batch of the observations, every array computed here: the
+    block-diagonal CSR by ``scipy.sparse.block_diag``, the action layout by
+    its own index arithmetic (each is assigned over the batch's
+    compute-once attribute, so none of the batch's code runs)."""
     batch = len(obs_list)
     sizes = [o.num_nodes for o in obs_list]
-    feats = np.concatenate([o.features for o in obs_list], axis=0)
-    graph_ids = np.repeat(np.arange(batch), sizes)
-    adj = block_diag_adjacency_sparse([o.norm_adj for o in obs_list])
+    adj = sp.block_diag([o.norm_adj for o in obs_list], format="csr")
     num_ready = np.array([len(o.ready_positions) for o in obs_list])
     node_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    ready_rows = np.concatenate(
-        [np.asarray(o.ready_positions) for o in obs_list]
-    ) + np.repeat(node_offsets[:-1], num_ready)
+    ready_local = np.concatenate([np.asarray(o.ready_positions) for o in obs_list])
+    ready_rows = ready_local + np.repeat(node_offsets[:-1], num_ready)
     pass_idx = np.array(
         [i for i, o in enumerate(obs_list) if o.allow_pass], dtype=np.int64
     )
@@ -185,32 +182,46 @@ def reference_glue(obs_list) -> _BatchGlue:
         perm[action_offsets[pass_idx] + num_ready[pass_idx]] = (
             total_tasks + np.arange(pass_idx.size)
         )
-    return _BatchGlue(
-        batch=batch,
-        sizes=sizes,
-        feats=feats,
-        graph_ids=graph_ids,
+    want = ObservationBatch(
+        feats=np.concatenate([o.features for o in obs_list], axis=0),
         node_offsets=node_offsets,
+        graph_ids=np.repeat(np.arange(batch), sizes),
+        tasks=None,
         adj_data=adj.data,
         adj_indices=adj.indices,
         adj_indptr=adj.indptr,
-        num_ready=num_ready,
         ready_rows=ready_rows,
-        pass_idx=pass_idx,
-        proc_stack=proc_stack,
-        num_actions=num_actions,
-        action_offsets=action_offsets,
-        perm=perm,
+        num_ready=num_ready,
+        current_procs=np.array([o.current_proc for o in obs_list], dtype=np.int64),
+        allow_pass=np.array([o.allow_pass for o in obs_list], dtype=bool),
+        proc_features=np.stack([o.proc_features for o in obs_list]),
+        extra_node_features=np.array(
+            [o.extra_node_features for o in obs_list], dtype=np.int64
+        ),
+        sources=obs_list,
     )
+    want.norm_adj = adj
+    want.ready_offsets = task_offsets
+    want.ready_local = ready_local
+    want.ready_tasks = np.concatenate([np.asarray(o.ready_tasks) for o in obs_list])
+    want.pass_idx = pass_idx
+    want.proc_stack = proc_stack
+    want.num_actions = num_actions
+    want.action_offsets = action_offsets
+    want.action_segments = np.repeat(np.arange(batch), num_actions)
+    want.perm = perm
+    return want
 
 
 # --------------------------------------------------------------------- #
 # bitwise comparison against the reference
 # --------------------------------------------------------------------- #
 
-GLUE_ARRAYS = (
-    "feats", "graph_ids", "node_offsets", "num_ready", "ready_rows", "pass_idx", "proc_stack",
-    "num_actions", "action_offsets", "perm",
+BATCH_ARRAYS = (
+    "feats", "graph_ids", "node_offsets", "adj_data", "adj_indices", "adj_indptr",
+    "num_ready", "ready_rows", "ready_offsets", "ready_local", "ready_tasks",
+    "current_procs", "allow_pass", "proc_features", "extra_node_features",
+    "pass_idx", "proc_stack", "num_actions", "action_offsets", "action_segments", "perm",
 )
 
 
@@ -239,7 +250,9 @@ def reference_of(env, ob):
 
 
 def assert_matches_reference(envs, batch):
-    """Every member of ``batch`` and the batch glue equal the oracle's."""
+    """Every member of ``batch`` equals the oracle's observation, and the
+    batch and :meth:`ObservationBatch.of` its members both equal the
+    reference batch of the oracle's observations."""
     assert isinstance(batch, ObservationBatch)
     assert len(batch) == len(envs)
     refs = []
@@ -253,15 +266,20 @@ def assert_matches_reference(envs, batch):
         assert ob.extra_node_features == ref.extra_node_features
         assert ob.num_nodes == ref.num_nodes
         assert ob.num_actions == ref.num_actions
-    want = reference_glue(refs)
-    for glue in (ReadysAgent._batch_glue(batch), ReadysAgent._batch_glue(list(batch))):
-        assert glue.batch == want.batch
-        assert glue.sizes == want.sizes
-        for field in GLUE_ARRAYS:
-            got, ref = getattr(glue, field), getattr(want, field)
-            if ref is None:
-                assert got is None, field
-            else:
-                same_array(got, ref, f"glue {field}")
-        same_adjacency(glue.adj, want.adj, "glue adj")
+    want = reference_batch(refs)
+    for got in (batch, ObservationBatch.of(list(batch))):
+        assert_same_batch(got, want)
     return refs
+
+
+def assert_same_batch(got, want):
+    """``got`` holds ``want``'s arrays, action layout and matrix, bitwise."""
+    assert len(got) == len(want)
+    assert got.sizes == want.sizes
+    for field in BATCH_ARRAYS:
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+        else:
+            same_array(a, b, f"batch {field}")
+    same_adjacency(got.norm_adj, want.norm_adj, "batch norm_adj")

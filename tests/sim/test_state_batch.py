@@ -5,8 +5,9 @@ builds every window, feature row, adjacency entry and descriptor in array
 passes.  These tests drive vectorised environments through random episodes
 (auto-resets included) and assert, after every reset and step, that each
 member of the returned batch is bit-identical to the per-member reference
-build of ``reference_state.py``, and that the batch glue of the forward
-equals the reference glue over the reference observations.
+build of ``reference_state.py``, and that the batch, and
+``ObservationBatch.of`` its members, equal the reference batch of the
+reference observations.
 """
 
 import numpy as np
