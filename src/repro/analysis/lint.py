@@ -20,13 +20,11 @@ silently ignored.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.analysis.dataflow import AliasTable
 from repro.analysis.registry import RULES, Violation
@@ -547,25 +545,6 @@ def lint_paths(paths: Iterable[Union[str, Path]]) -> List[Violation]:
     return runner.analyze_paths(paths).violations
 
 
-def run(paths: Sequence[str], list_rules: bool = False, **kwargs) -> int:
-    """CLI driver (delegates to :func:`repro.analysis.runner.run`)."""
-    from repro.analysis import runner
-
-    return runner.run(paths, list_rules=list_rules, **kwargs)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    from repro.analysis import runner
-
-    return runner.build_parser()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.analysis import runner
-
-    return runner.main(argv)
-
-
 __all__ = [
     "EXCLUDED_DIR_NAMES",
     "FileAnalysis",
@@ -576,8 +555,4 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "run",
 ]
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.analysis import lint as analysis_lint
+from repro.analysis import runner as analysis_runner
 from repro.eval.compare import compare_spec
 from repro.policy import AgentPolicy, evaluate_policy
 from repro.rl.a2c import A2CConfig
@@ -393,7 +393,7 @@ def cmd_report_run(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    return analysis_lint.run(
+    return analysis_runner.run(
         args.paths,
         list_rules=args.list_rules,
         strict=args.strict,

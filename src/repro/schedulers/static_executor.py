@@ -11,14 +11,14 @@ behind it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.schedulers.base import DynamicScheduler, run_dynamic
 from repro.schedulers.heft import StaticSchedule, heft_schedule
 from repro.schedulers.registry import register
-from repro.sim.engine import IDLE, Simulation, VecSimulation
+from repro.sim.engine import Simulation
 from repro.utils.seeding import SeedLike
 
 
@@ -75,72 +75,6 @@ class StaticOrderScheduler(DynamicScheduler):
 def run_static(sim: Simulation, schedule: StaticSchedule, rng: SeedLike = None) -> float:
     """Execute ``schedule`` on ``sim``; returns the achieved makespan."""
     return run_dynamic(sim, StaticOrderScheduler(schedule), rng=rng)
-
-
-def run_static_vec(
-    vec: VecSimulation, schedules: Sequence[StaticSchedule]
-) -> np.ndarray:
-    """Replay one static plan per member through the fused kernel; returns makespans.
-
-    The batched counterpart of K :func:`run_static` calls: every round issues
-    all launchable head-of-queue tasks across members in one
-    :meth:`~repro.sim.kernel.SimKernel.start_many` and advances every member
-    with work in flight in one fused
-    :meth:`~repro.sim.kernel.SimKernel.advance_rows` — no per-member Python
-    event loop.  Idle processors are offered in ascending index order rather
-    than :func:`~repro.schedulers.base.run_dynamic`'s random permutation: a
-    static plan fixes each processor's queue, so the offer order cannot
-    change any assignment — it only permutes which noise draw lands on which
-    same-instant launch.  Under deterministic durations the result is
-    bit-identical to per-member :func:`run_static`; under noise it is the
-    same distribution through a differently-ordered stream (use
-    :func:`run_static` per member when replaying a seeded ``run_dynamic``
-    trace exactly).
-    """
-    kernel = vec.kernel
-    k = vec.num_members
-    if len(schedules) != k:
-        raise ValueError(f"expected {k} schedules, got {len(schedules)}")
-    p = kernel.platform.num_processors
-    max_len = max(
-        (len(order) for s in schedules for order in s.proc_order), default=0
-    )
-    max_len = max(max_len, 1)
-    orders = np.zeros((k, p, max_len), dtype=np.int64)
-    lengths = np.zeros((k, p), dtype=np.int64)
-    for i, schedule in enumerate(schedules):
-        for proc, order in enumerate(schedule.proc_order):
-            orders[i, proc, : len(order)] = order
-            lengths[i, proc] = len(order)
-    cursors = np.zeros((k, p), dtype=np.int64)
-    member_rows = np.asarray([m._row for m in vec.members], dtype=np.int64)
-    all_procs = np.arange(p)
-    while True:
-        active = np.flatnonzero(kernel.num_unfinished[member_rows] > 0)
-        if active.size == 0:
-            break
-        rows = member_rows[active]
-        heads = orders[
-            active[:, None], all_procs[None, :], np.minimum(cursors[active], max_len - 1)
-        ]
-        can = (
-            (cursors[active] < lengths[active])
-            & (kernel.proc_task[rows] == IDLE)
-            & kernel.ready[rows[:, None], heads]
-        )
-        a_idx, p_idx = np.nonzero(can)
-        if a_idx.size:
-            kernel.start_many(rows[a_idx], heads[a_idx, p_idx], p_idx)
-            cursors[active[a_idx], p_idx] += 1
-        stalled = ~(kernel.proc_task[rows] != IDLE).any(axis=1)
-        if stalled.any():
-            member = int(active[np.argmax(stalled)])
-            raise RuntimeError(
-                f"static-replay: deadlock in member {member} — no task "
-                "running and no planned head task is ready"
-            )
-        kernel.advance_rows(rows)
-    return np.asarray([m.makespan for m in vec.members])
 
 
 def make_heft_policy(spec=None, rng=None):

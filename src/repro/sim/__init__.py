@@ -1,7 +1,7 @@
 """Discrete-event simulation of dynamic DAG execution + the RL environment."""
 
 from repro.sim.kernel import SimKernel
-from repro.sim.engine import Simulation, ScheduledTask, VecSimulation
+from repro.sim.engine import Simulation, ScheduledTask
 from repro.sim.state import Observation, StateBuilder
 from repro.sim.env import ResetResult, SchedulingEnv, StepResult, run_policy
 from repro.sim.vec_env import VecResetResult, VecSchedulingEnv, VecStepResult
@@ -25,7 +25,6 @@ __all__ = [
     "SimKernel",
     "Simulation",
     "ScheduledTask",
-    "VecSimulation",
     "Observation",
     "StateBuilder",
     "SchedulingEnv",

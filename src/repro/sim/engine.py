@@ -20,15 +20,16 @@ lives in a :class:`~repro.sim.kernel.SimKernel` — ``(K, n)`` task arrays and
 (``ready``, ``proc_task``, …) are NumPy views into the kernel's rows, its
 transitions delegate to the kernel's per-row ops, and a standalone
 ``Simulation(...)`` simply owns a private K=1 kernel — so the entire
-historical API (and its bit-exact behaviour) is preserved while
-:class:`VecSimulation` advances many rows per event through the same arrays
-with fused reductions.
+historical API (and its bit-exact behaviour) is preserved.  The members of a
+vectorised environment are views over rows of one shared kernel, which the
+environments' decision loop (:func:`repro.sim.vec_env.step_wave`) starts and
+advances many rows at a time with ``start_many``/``advance_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from repro.platforms.comm import CommunicationModel, NoComm
 from repro.platforms.noise import NoiseModel, NoNoise
 from repro.platforms.resources import Platform
 from repro.sim.kernel import IDLE, SimKernel
-from repro.utils.seeding import SeedLike, as_generator, spawn_generators
+from repro.utils.seeding import SeedLike, as_generator
 
-__all__ = ["IDLE", "ScheduledTask", "Simulation", "VecSimulation"]
+__all__ = ["IDLE", "ScheduledTask", "Simulation"]
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class Simulation:
         until the outputs of predecessors executed elsewhere have arrived.
 
     The constructor builds a private K=1 :class:`~repro.sim.kernel.SimKernel`;
-    :class:`VecSimulation` members share one K-row kernel instead and are
-    created through :meth:`_attach`.  Either way the public surface is the
+    the members of a vectorised environment share one K-row kernel instead
+    and are created through :meth:`_attach`.  Either way the public surface is the
     historical one: ``ready``/``running``/… are (n,) arrays (row views),
     ``proc_task``/``proc_finish`` are (p,) arrays, and transitions behave
     bit-identically to the pre-kernel per-object engine.
@@ -423,109 +424,3 @@ class Simulation:
         # every restored view re-registers itself and re-aliases its row
         self._kernel.attach_view(self)
         self._sync_views()
-
-
-def _per_member(value: Union[object, Sequence, None], k: int) -> List:
-    """Broadcast a shared object (or pass through a K-sequence) to K slots."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != k:
-            raise ValueError(f"expected {k} per-member values, got {len(value)}")
-        return list(value)
-    return [value] * k
-
-
-class VecSimulation:
-    """K scheduling episodes stepped through one shared struct-of-arrays kernel.
-
-    Parameters
-    ----------
-    graphs:
-        One :class:`TaskGraph` per member, or a single graph shared by all.
-    platform, durations:
-        Shared across members (one set of processor/duration arrays).
-    noise, comm:
-        A single model shared by every member, or a K-sequence.
-    rng:
-        A K-sequence of seeds/generators (one per member), or a single
-        seed-like from which K independent member streams are spawned.
-
-    Each member is an ordinary :class:`Simulation` (``vec.member(k)`` /
-    ``vec.members[k]``) viewing row k, so anything written against the
-    single-episode API — schedulers, ``check_trace``, trace export — works
-    on a member unchanged, while :meth:`advance` completes events in *all*
-    requested rows with one fused pass (see
-    :meth:`repro.sim.kernel.SimKernel.advance_rows`).  Per-member RNG
-    streams are private, so fusing the deterministic event machinery leaves
-    every member's draw sequence — and therefore its trace — bit-identical
-    to running that member alone.
-    """
-
-    def __init__(
-        self,
-        graphs: Union[TaskGraph, Sequence[TaskGraph]],
-        platform: Platform,
-        durations: DurationTable,
-        noise: Union[NoiseModel, Sequence[NoiseModel], None] = None,
-        rng: Union[SeedLike, Sequence[SeedLike]] = None,
-        comm: Union[CommunicationModel, Sequence[CommunicationModel], None] = None,
-    ) -> None:
-        if isinstance(graphs, TaskGraph):
-            graphs = [graphs]
-        graphs = list(graphs)
-        if not graphs:
-            raise ValueError("VecSimulation needs at least one member graph")
-        k = len(graphs)
-        noises = _per_member(noise, k)
-        comms = _per_member(comm, k)
-        if isinstance(rng, (list, tuple)):
-            if len(rng) != k:
-                raise ValueError(f"expected {k} member rngs, got {len(rng)}")
-            rngs = [as_generator(r) for r in rng]
-        else:
-            rngs = spawn_generators(rng, k)
-        self.kernel = SimKernel(platform, durations, k)
-        self.members: List[Simulation] = [
-            Simulation._attach(self.kernel, row, graphs[row], noises[row],
-                               rngs[row], comms[row])
-            for row in range(k)
-        ]
-
-    @property
-    def num_members(self) -> int:
-        return len(self.members)
-
-    def member(self, k: int) -> Simulation:
-        """The K=1 view of row ``k`` (full single-episode API)."""
-        return self.members[k]
-
-    @property
-    def done(self) -> np.ndarray:
-        """Boolean (K,) mask of completed member episodes."""
-        return self.kernel.done_rows()
-
-    @property
-    def time(self) -> np.ndarray:
-        """(K,) member clocks (copy)."""
-        return self.kernel.time.copy()
-
-    def makespans(self) -> np.ndarray:
-        """(K,) member makespans; raises if any member is unfinished."""
-        if not self.done.all():
-            raise RuntimeError("makespan is undefined before the episode ends")
-        n = self.kernel.n_tasks
-        cap = self.kernel.capacity
-        mask = np.arange(cap) < n[:, None]
-        ct = np.where(mask, self.kernel.completion_time, -np.inf)
-        return ct.max(axis=1)
-
-    def advance(self, rows: Optional[np.ndarray] = None) -> None:
-        """Fused event step: every requested row jumps to its next completion.
-
-        ``rows`` defaults to all unfinished members; pass an explicit index
-        array to advance a subset (the vectorised env advances exactly the
-        members waiting on an event).  Trace materialisation caches of the
-        affected members are invalidated lazily via the kernel's counters.
-        """
-        if rows is None:
-            rows = np.flatnonzero(~self.kernel.done_rows())
-        self.kernel.advance_rows(np.asarray(rows, dtype=np.int64))

@@ -19,11 +19,11 @@ with HEFT's makespan computed on the same instance under expected durations
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import obs
 from repro.graphs.durations import DurationTable
 from repro.graphs.taskgraph import TaskGraph
 from repro.platforms.noise import NoNoise, NoiseModel
@@ -32,6 +32,7 @@ from repro.schedulers.heft import heft_makespan
 from repro.sim.engine import Simulation
 from repro.sim.kernel import SimKernel
 from repro.sim.state import Observation, StateBuilder
+from repro.sim.vec_env import step_wave
 from repro.utils.seeding import SeedLike, as_generator
 
 GraphSource = Union[TaskGraph, Callable[[np.random.Generator], TaskGraph]]
@@ -166,16 +167,17 @@ class SchedulingEnv:
         fully reproducible regardless of prior history.  The returned
         :class:`ResetResult` unpacks as ``obs, info``.
         """
-        obs = self._build_decision(*self._begin_episode(seed))
-        self._current_obs = obs
-        return ResetResult(obs, self._reset_info())
+        self._begin_episode(seed)
+        step_wave([self], [0])
+        return ResetResult(self._current_obs, self._reset_info())
 
-    def _begin_episode(self, seed: SeedLike = None) -> Tuple[int, bool]:
-        """Start a new episode and advance it to its first decision point.
+    def _begin_episode(self, seed: SeedLike = None) -> None:
+        """Start a new episode: sample the graph, (re-)init the simulator
+        row, set the HEFT baseline and clear the passes.
 
-        Returns the drawn ``(proc, allow_pass)`` without building the
-        observation, so the vectorised wrapper can build every member's in
-        one batch; :meth:`reset` builds it alone.
+        The episode is not yet at a decision point: the decision loop
+        (:func:`~repro.sim.vec_env.step_wave`) advances it there, in the same
+        waves as the other members it moves.
         """
         if seed is not None:
             self.rng = as_generator(seed)
@@ -211,9 +213,6 @@ class SchedulingEnv:
         self._baseline_makespan = baseline[2]
         self._passed = np.zeros(self.platform.num_processors, dtype=bool)
         self._last_time = 0.0
-        decision = self._advance_to_decision()
-        assert decision is not None, "a fresh episode must have a decision point"
-        return decision
 
     def _reset_info(self) -> dict:
         """Episode metadata of the episode :meth:`_begin_episode` started."""
@@ -223,12 +222,27 @@ class SchedulingEnv:
             "num_tasks": self.sim.graph.num_tasks,
         }
 
-    # The decision loop is factored into hooks so the vectorised wrapper can
-    # drive many members through one wave loop while consuming each member's
-    # RNG stream in exactly the single-env order: candidates → draw →
+    def step(self, action: int) -> StepResult:
+        """Apply ``action`` to the pending decision.
+
+        ``action`` indexes the current observation's ready tasks; the value
+        ``num_ready`` (i.e. the last index) is the ∅ action when
+        ``allow_pass`` is true.  Returns a :class:`StepResult` (unpackable as
+        the historical ``(obs, reward, done, info)`` 4-tuple) with
+        ``obs=None`` at the terminal state.
+        """
+        step = step_wave([self], [0], [action], final=(0,))
+        return StepResult(
+            self._current_obs,
+            float(step.rewards[0]),
+            bool(step.dones[0]),
+            step.infos[0],
+        )
+
+    # Hooks of the one decision loop (repro.sim.vec_env.step_wave), which
+    # drives every member, a standalone env included, while consuming each
+    # member's RNG stream in the single-env order: candidates → draw →
     # (batched) build, or before-advance → (batched) advance → after-advance.
-    # ``_advance_to_decision`` composes the event half, ``_next_decision``
-    # adds the build for the single-environment path.
 
     def _decision_candidates(self) -> Optional[np.ndarray]:
         """Processors eligible for a decision now, or ``None`` if the
@@ -249,7 +263,9 @@ class SchedulingEnv:
         will re-open decisions or another idle processor is still waiting
         to be asked.
         """
-        proc = int(self.rng.choice(candidates))
+        # ``candidates[integers(size)]`` is ``rng.choice(candidates)``: the
+        # same single bounded draw from the stream, without choice's checks
+        proc = int(candidates[self.rng.integers(candidates.size)])
         return proc, self._event_pending() or candidates.size > 1
 
     def _event_pending(self) -> bool:
@@ -275,96 +291,32 @@ class SchedulingEnv:
         assert self._passed is not None
         self._passed[:] = False  # a new instant: everyone may be asked again
 
-    def _build_decision(self, proc: int, allow_pass: bool) -> Observation:
-        """Build (and trace) the observation for a drawn decision."""
-        sim = self.sim
-        assert sim is not None
-        tracer = obs.TRACER
-        if tracer.enabled:
-            handle = tracer.begin("state_build", proc=proc)
-            built = self.state_builder.build(sim, proc, allow_pass=allow_pass)
-            tracer.end(handle, nodes=built.num_nodes)
-        else:
-            built = self.state_builder.build(sim, proc, allow_pass=allow_pass)
-        return built
+    def _check_action(self, action: int) -> Tuple[Observation, int]:
+        """Validate ``action`` against the pending decision; returns the
+        decision's observation and the action as an ``int``.
 
-    def _advance_to_decision(self) -> Optional[Tuple[int, bool]]:
-        """Advance the simulator to the next decision point; returns the
-        drawn ``(proc, allow_pass)``, or ``None`` at the end of the episode."""
-        sim = self.sim
-        assert sim is not None and self._passed is not None
-        while True:
-            if sim.done:
-                return None
-            candidates = self._decision_candidates()
-            if candidates is not None:
-                return self._draw_proc(candidates)
-            if self._before_advance():
-                sim.advance()
-            self._after_advance()
-
-    def _next_decision(self) -> Optional[Observation]:
-        """Advance to the next decision point (or the end) and build it."""
-        decision = self._advance_to_decision()
-        return None if decision is None else self._build_decision(*decision)
-
-    def step(self, action: int) -> StepResult:
-        """Apply ``action`` to the pending decision.
-
-        ``action`` indexes the current observation's ready tasks; the value
-        ``num_ready`` (i.e. the last index) is the ∅ action when
-        ``allow_pass`` is true.  Returns a :class:`StepResult` (unpackable as
-        the historical ``(obs, reward, done, info)`` 4-tuple) with
-        ``obs=None`` at the terminal state.
-        """
-        current = self._check_action(action)
-        num_ready = len(current.ready_tasks)
-        tracer = obs.TRACER
-        handle = (
-            tracer.begin(
-                "decision",
-                proc=current.current_proc,
-                num_ready=num_ready,
-                num_nodes=current.num_nodes,
-            )
-            if tracer.enabled
-            else None
-        )
-        self._apply_action(current, action)
-        result = self._finish_step(self._next_decision())
-        if handle is not None:
-            tracer.end(handle, passed=action >= num_ready, done=result.done)
-        return result
-
-    def _check_action(self, action: int) -> Observation:
-        """Validate ``action`` against the pending decision, which is returned.
-
-        Changes no state, so the vectorised wrapper can validate every
-        member's action before applying any of them.
+        Only integers are actions (Python or NumPy ints; ``0.5`` is refused,
+        not truncated).  Changes no state, so the decision loop can validate
+        every member's action before applying any of them.
         """
         current = self._current_obs
         if current is None or self.sim is None:
             raise RuntimeError("call reset() before step()")
-        if not 0 <= action < current.num_actions:
+        try:
+            index = operator.index(action)
+        except TypeError:
+            raise ValueError(f"action {action!r} is not an integer") from None
+        if not 0 <= index < current.num_actions:
             raise ValueError(
                 f"action {action} out of range [0, {current.num_actions})"
             )
-        return current
-
-    def _apply_action(self, current: Observation, action: int) -> None:
-        """Start the chosen task, or register the ∅ pass, for ``current``."""
-        assert self.sim is not None and self._passed is not None
-        if action < len(current.ready_tasks):
-            self.sim.start(int(current.ready_tasks[action]), current.current_proc)
-        else:  # ∅: this processor declines until the next event
-            assert current.allow_pass
-            self._passed[current.current_proc] = True
+        return current, index
 
     def _finish_step(self, next_obs: Optional[Observation]) -> StepResult:
         """Reward/done/info bookkeeping once the next decision is known.
 
-        Final part of :meth:`step`, shared verbatim with the vectorised wave
-        loop so rewards are computed from the identical elapsed-time floats.
+        Called by the decision loop for every stepped member, with ``None``
+        when the member's episode has ended.
         """
         sim = self.sim
         assert sim is not None

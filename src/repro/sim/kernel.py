@@ -331,19 +331,21 @@ class SimKernel:
         per-row consumption order is the sequential one), but validation,
         the duration-table gather and all state writes are single array
         passes — and rows with deterministic noise and free communication
-        skip the per-entry Python work entirely.  Entries must not repeat a
-        ``(row, proc)`` or ``(row, task)`` pair; offenders raise the same
-        error the second sequential start would have raised.
+        skip the per-entry Python work entirely.  A single entry is one
+        :meth:`start_row` call.  Entries must not repeat a ``(row, proc)``
+        or ``(row, task)`` pair; offenders raise the same error the second
+        sequential start would have raised.  The environments' decision loop
+        starts every member's chosen task through here, one call per kernel.
         """
+        if len(rows) == 1:
+            return np.asarray(
+                [self.start_row(int(rows[0]), int(tasks[0]), int(procs[0]))]
+            )
         rows = np.asarray(rows, dtype=np.int64)
         tasks = np.asarray(tasks, dtype=np.int64)
         procs = np.asarray(procs, dtype=np.int64)
         if not rows.size:
             return np.empty(0, dtype=np.float64)
-        if rows.size == 1:
-            return np.asarray(
-                [self.start_row(int(rows[0]), int(tasks[0]), int(procs[0]))]
-            )
         num_procs = self.platform.num_processors
         # duplicate (row, proc) / (row, task) pairs would replay as "busy" /
         # "not ready" on the second sequential start, so they invalidate too
@@ -478,11 +480,11 @@ class SimKernel:
         ``np.subtract.at`` in-degree decrement.  Raises the historical
         RuntimeError if any row has nothing running.
         """
+        if len(rows) == 1:
+            self.advance_row(int(rows[0]))
+            return
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
-            return
-        if rows.size == 1:
-            self.advance_row(int(rows[0]))
             return
         pf = self.proc_finish[rows]
         t_next = pf.min(axis=1)
@@ -568,26 +570,6 @@ class SimKernel:
     # ------------------------------------------------------------------ #
     # fused queries
     # ------------------------------------------------------------------ #
-
-    def done_rows(self) -> np.ndarray:
-        """Boolean (K,) mask of completed episodes."""
-        return self.num_unfinished == 0
-
-    def has_ready(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask per requested row: any task ready."""
-        return self.ready[rows].any(axis=1)
-
-    def expected_remaining_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(R, p) expected remaining time per processor (0.0 when idle).
-
-        The fused form of ``Simulation.expected_remaining_many`` over many
-        rows (see :meth:`busy_remaining` for the compact form).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.zeros((rows.size, self.platform.num_processors), dtype=np.float64)
-        r_idx, p_idx, _tasks, remaining = self.busy_remaining(rows)
-        out[r_idx, p_idx] = remaining
-        return out
 
     def busy_remaining(self, rows: np.ndarray) -> tuple:
         """Every busy processor of ``rows`` with its task's expected remaining time.

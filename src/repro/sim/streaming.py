@@ -341,7 +341,6 @@ class StreamingSchedulingEnv(SchedulingEnv):
         )
         # swap in the job-aware builder (same width contract + 2 columns)
         self.state_builder = JobStateBuilder(workload.durations, window)
-        self._pending_init = False
         self._episode_jobs = 0
         self._arrival_times = np.zeros(0, dtype=np.float64)
         self._job_of = np.zeros(0, dtype=np.int64)
@@ -390,7 +389,6 @@ class StreamingSchedulingEnv(SchedulingEnv):
         self._released = 0
         self._jct = np.full(len(jobs), np.nan)
         self._cost_accum = 0.0
-        self._pending_init = True
 
         arrivals_frozen = times.copy()
         arrivals_frozen.setflags(write=False)
@@ -410,14 +408,15 @@ class StreamingSchedulingEnv(SchedulingEnv):
         )
         return graph
 
-    def _init_episode_gating(self) -> None:
-        """Clear every job's roots from the fresh ready set, release due jobs."""
+    def _begin_episode(self, seed: SeedLike = None) -> None:
+        """Start the episode, then gate it: every job's roots leave the fresh
+        ready set and the jobs due at t=0 are admitted."""
+        super()._begin_episode(seed)
         sim = self.sim
         assert sim is not None
         for roots in self._job_roots:
             sim.ready[roots] = False
         self._release_due()
-        self._pending_init = False
 
     def _release_due(self) -> None:
         """Admit every job whose arrival instant has been reached."""
@@ -468,11 +467,6 @@ class StreamingSchedulingEnv(SchedulingEnv):
         """A pending arrival is a guaranteed future event too, so it also
         legalises ∅ with nothing running and no other processor to ask."""
         return super()._event_pending() or self._released < self._episode_jobs
-
-    def _advance_to_decision(self) -> "Optional[tuple[int, bool]]":
-        if self._pending_init:
-            self._init_episode_gating()
-        return super()._advance_to_decision()
 
     def _before_advance(self) -> bool:
         """The next event is ``min(next completion, next arrival)``.

@@ -23,33 +23,44 @@ Semantics mirror the classic gym ``VecEnv`` contract:
 Since the struct-of-arrays refactor (DESIGN.md §11), compatible members
 share one :class:`~repro.sim.kernel.SimKernel`: their episode state lives in
 ``(K, ·)`` rows of common arrays, and auto-reset is a masked re-init of the
-finished rows.  :meth:`step` has one implementation, a wave loop: a member
-at a decision point draws its processor and leaves the loop, and members
-waiting on an event advance with one ``SimKernel.advance_rows`` call per
-kernel.  Once every member is at a decision point (auto-reset members
-included: their reset hook stops at the first decision point), one
-:func:`repro.sim.state.build_observations` call builds all K observations,
-so ``step(...).obs`` and ``reset().obs`` are one
+finished rows.  :func:`step_wave` is the one decision loop, and it steps a
+standalone :class:`~repro.sim.env.SchedulingEnv` too (as a one-member list).
+The chosen tasks start with one ``SimKernel.start_many`` call per kernel.
+Then a member at a decision point draws its processor and leaves the loop,
+and members waiting on an event advance with one
+``SimKernel.advance_rows`` call per kernel; reset and auto-reset members
+join the same waves as fresh episodes.  Once every member is at a decision
+point, one :func:`repro.sim.state.build_observations` call builds all K
+observations, so ``step(...).obs`` and ``reset().obs`` are one
 :class:`~repro.sim.state.ObservationBatch` in member order.  The env hooks
 ``_before_advance``/``_after_advance`` carry what differs between member
 types (a streaming member's next event may be a job arrival, which only
 moves its clock), and grouping by kernel lets structurally heterogeneous
 members, each on a private kernel, run the same loop.  Every member keeps a
-private RNG stream, so the wave loop consumes each stream in exactly the
+private RNG stream, so the loop consumes each stream in exactly the
 single-env order and the results are bit-identical to stepping standalone
-environments one by one (``tests/sim/test_vec_parity.py``).  Tracing does
-not change the path: a traced step emits one ``decision`` span
+environments one by one (``tests/sim/test_vec_parity.py``) and to the
+frozen per-step digests of ``tests/sim/test_step_digests.py``.  Tracing
+does not change the path: a traced step emits one ``decision`` span
 (``batch=K``) and the step's one ``state_build`` span.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, List, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
 from repro import obs
-from repro.sim.env import SchedulingEnv
 from repro.sim.kernel import SimKernel
 from repro.sim.state import (
     ObservationBatch,
@@ -57,6 +68,9 @@ from repro.sim.state import (
     observation_feature_dim,
 )
 from repro.utils.seeding import SeedLike, spawn_generators, spawn_seed_sequences
+
+if TYPE_CHECKING:  # env.py imports the loop from here
+    from repro.sim.env import SchedulingEnv
 
 
 class VecResetResult(NamedTuple):
@@ -189,38 +203,19 @@ class VecSchedulingEnv:
         ad-hoc per-member offsets — so no two members (or any other consumer
         spawned from the same root elsewhere) can collide on an RNG stream.
         With a shared kernel each member reset is a masked re-init of its
-        row, so no episode state is allocated per reset.  The K first
+        row, so no episode state is allocated per reset.  The fresh members
+        reach their first decision points in one wave loop, and the K first
         observations are built as one batch.
         """
         if seed is not None:
             member_seeds = spawn_seed_sequences(seed, self.num_envs)
-            decisions = [
+            for env, child in zip(self.envs, member_seeds):
                 env._begin_episode(seed=child)
-                for env, child in zip(self.envs, member_seeds)
-            ]
         else:
-            decisions = [env._begin_episode() for env in self.envs]
-        tracer = obs.TRACER
-        handle = (
-            tracer.begin("state_build", reset=self.num_envs)
-            if tracer.enabled
-            else None
-        )
-        batch = self._build([(i, *d) for i, d in enumerate(decisions)])
-        if handle is not None:
-            tracer.end(handle, nodes=int(batch.node_offsets[-1]))
-        for env, ob in zip(self.envs, batch):
-            env._current_obs = ob
+            for env in self.envs:
+                env._begin_episode()
+        batch = step_wave(self.envs, range(self.num_envs)).obs
         return VecResetResult(batch, [env._reset_info() for env in self.envs])
-
-    def _build(self, decided: List[tuple]) -> ObservationBatch:
-        """One batch from ``(member, proc, allow_pass)`` triples."""
-        return build_observations(
-            [self.envs[i].state_builder for i, _p, _a in decided],
-            [self.envs[i].sim for i, _p, _a in decided],
-            [proc for _i, proc, _a in decided],
-            [allow for _i, _p, allow in decided],
-        )
 
     def step(self, actions: Sequence[int]) -> VecStepResult:
         """Apply one action per member; auto-reset finished members.
@@ -252,84 +247,132 @@ class VecSchedulingEnv:
         left) — what lockstep evaluation with per-member episode quotas
         needs.
         """
-        members = list(members)
-        actions = [int(a) for a in actions]
-        currents = [
-            self.envs[i]._check_action(a) for i, a in zip(members, actions)
-        ]
-        tracer = obs.TRACER
-        handle = (
-            tracer.begin("decision", batch=len(members)) if tracer.enabled else None
-        )
-        for i, current, action in zip(members, currents, actions):
-            self.envs[i]._apply_action(current, action)
-        slot = {i: j for j, i in enumerate(members)}
-        rewards = np.empty(len(members), dtype=np.float64)
-        dones = np.zeros(len(members), dtype=bool)
-        infos: List[Optional[dict]] = [None] * len(members)
-        # a member that reaches its decision point is not advanced again in
-        # this step, so every member's observation is built in one batch
-        # after the loop: (member, proc, allow_pass)
-        decided: List[tuple] = []
-        pending = members
-        while pending:
-            waiting: List[int] = []
-            for i in pending:
-                env = self.envs[i]
+        return step_wave(self.envs, members, actions, final)
+
+
+def step_wave(
+    envs: Sequence[SchedulingEnv],
+    members: Iterable[int],
+    actions: Optional[Sequence[int]] = None,
+    final: Collection[int] = (),
+) -> VecStepResult:
+    """The one decision loop: move ``members`` of ``envs`` to their next
+    decision points.
+
+    With ``actions`` (one per member), every action is validated before any
+    member changes, the chosen tasks start with one
+    :meth:`~repro.sim.kernel.SimKernel.start_many` per kernel and ∅ passes
+    are recorded.  Without, the members were just started by
+    ``_begin_episode`` (a reset) and only advance.
+
+    Then the wave loop runs.  A member at a decision point draws its
+    processor and leaves the loop; members waiting on an event advance
+    with one ``advance_rows`` call per kernel; a member whose episode ended
+    gets its terminal reward and info and, unless it is in ``final``, is
+    reset in place (the info then carries ``terminal_observation``) and
+    goes on through the waves as a fresh episode.  Every member consumes
+    its own RNG stream in the single-environment order.  Once every member
+    has decided, one :func:`~repro.sim.state.build_observations` call
+    builds all the observations and sets each member's pending decision.
+    A standalone environment steps through here as ``envs=[self]`` with
+    itself in ``final``.
+
+    ``rewards``/``dones``/``infos`` align with ``members``; ``obs`` holds
+    the members that reached a decision point, in ``members`` order
+    (``None`` when none did).
+    """
+    members = list(members)
+    n = len(members)
+    tracer = obs.TRACER
+    handle = None
+    fresh = [actions is None] * n  # the observation opens an episode
+    if actions is not None:
+        checked = [envs[i]._check_action(a) for i, a in zip(members, actions)]
+        if tracer.enabled:
+            handle = tracer.begin("decision", batch=n)
+        starts: dict = {}
+        for i, (current, action) in zip(members, checked):
+            env = envs[i]
+            ready_tasks = current.ready_tasks
+            if action < len(ready_tasks):
                 sim = env.sim
-                if sim.done:
-                    result = env._finish_step(None)
-                    rewards[slot[i]] = result.reward
-                    dones[slot[i]] = True
-                    info = dict(result.info)
-                    # stash the terminal observation before the re-init
-                    # below overwrites the row (gym convention)
-                    info["terminal_observation"] = (
-                        env.state_builder.build_terminal(sim)
-                    )
-                    infos[slot[i]] = info
-                    if i not in final:
-                        # auto-reset continues the member's own RNG stream;
-                        # the fresh episode opens at a decision point
-                        decided.append((i, *env._begin_episode()))
+                rows, tasks, procs = starts.setdefault(sim._kernel, ([], [], []))
+                rows.append(sim._row)
+                tasks.append(ready_tasks[action])
+                procs.append(current.current_proc)
+            else:  # ∅: this processor declines until the next event
+                env._passed[current.current_proc] = True
+        for kernel, (rows, tasks, procs) in starts.items():
+            kernel.start_many(rows, tasks, procs)
+    rewards = np.zeros(n, dtype=np.float64)
+    dones = np.zeros(n, dtype=bool)
+    infos: List[Optional[dict]] = [None] * n
+    # positions into ``members`` below.  A member that reaches its decision
+    # point is not advanced again in this call, so every observation is
+    # built in one batch after the loop: (position, proc, allow_pass)
+    decided: List[tuple] = []
+    pending = range(n)
+    while pending:
+        waiting: List[int] = []
+        for j in pending:
+            env = envs[members[j]]
+            if env.sim.done:
+                result = env._finish_step(None)
+                rewards[j] = result.reward
+                dones[j] = True
+                infos[j] = result.info
+                if members[j] in final:
                     continue
-                candidates = env._decision_candidates()
-                if candidates is not None:
-                    decided.append((i, *env._draw_proc(candidates)))
-                else:
-                    waiting.append(i)
-            if waiting:
-                # one advance_rows per kernel for the members whose next
-                # event is a completion; the hooks handle every other event
-                by_kernel: dict = {}
-                for i in waiting:
-                    if self.envs[i]._before_advance():
-                        sim = self.envs[i].sim
-                        by_kernel.setdefault(sim._kernel, []).append(sim._row)
-                for kernel, rows in by_kernel.items():
-                    kernel.advance_rows(np.asarray(rows, dtype=np.int64))
-                for i in waiting:
-                    self.envs[i]._after_advance()
-            pending = waiting
-        batch = None
-        if decided:
-            decided.sort(key=lambda d: d[0])
-            build = (
-                tracer.begin("state_build", batch=len(decided))
-                if handle is not None
-                else None
-            )
-            batch = self._build(decided)
-            if build is not None:
-                tracer.end(build, nodes=int(batch.node_offsets[-1]))
-            for (i, _proc, _allow), ob in zip(decided, batch):
-                env = self.envs[i]
-                if dones[slot[i]]:
-                    env._current_obs = ob
-                else:
-                    result = env._finish_step(ob)
-                    rewards[slot[i]] = result.reward
-                    infos[slot[i]] = result.info
-        if handle is not None:
-            tracer.end(handle, done=int(dones.sum()))
-        return VecStepResult(batch, rewards, dones, infos)
+                # stash the terminal observation before the re-init
+                # overwrites the row (gym convention); the fresh episode
+                # continues the member's own RNG stream
+                result.info["terminal_observation"] = (
+                    env.state_builder.build_terminal(env.sim)
+                )
+                env._begin_episode()
+                fresh[j] = True
+            candidates = env._decision_candidates()
+            if candidates is not None:
+                decided.append((j, *env._draw_proc(candidates)))
+            else:
+                waiting.append(j)
+        if waiting:
+            # one advance_rows per kernel for the members whose next
+            # event is a completion; the hooks handle every other event
+            by_kernel: dict = {}
+            for j in waiting:
+                env = envs[members[j]]
+                if env._before_advance():
+                    by_kernel.setdefault(env.sim._kernel, []).append(env.sim._row)
+            for kernel, rows in by_kernel.items():
+                kernel.advance_rows(rows)
+            for j in waiting:
+                envs[members[j]]._after_advance()
+        pending = waiting
+    batch = None
+    if decided:
+        decided.sort()  # member order
+        order, procs, allows = zip(*decided)
+        chosen = [envs[members[j]] for j in order]
+        build = None
+        if tracer.enabled:
+            key = "reset" if actions is None else "batch"
+            build = tracer.begin("state_build", **{key: len(order)})
+        batch = build_observations(
+            [env.state_builder for env in chosen],
+            [env.sim for env in chosen],
+            procs,
+            allows,
+        )
+        if build is not None:
+            tracer.end(build, nodes=int(batch.node_offsets[-1]))
+        for j, env, ob in zip(order, chosen, batch):
+            if fresh[j]:
+                env._current_obs = ob
+            else:
+                result = env._finish_step(ob)
+                rewards[j] = result.reward
+                infos[j] = result.info
+    if handle is not None:
+        tracer.end(handle, done=int(dones.sum()))
+    return VecStepResult(batch, rewards, dones, infos)

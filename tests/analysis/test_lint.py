@@ -16,8 +16,8 @@ from repro.analysis.lint import (
     iter_python_files,
     lint_file,
     lint_source,
-    run,
 )
+from repro.analysis.runner import run
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 

@@ -1,5 +1,8 @@
 """The scheduling MDP environment."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.graphs.cholesky import cholesky_dag
@@ -75,6 +78,27 @@ class TestStep:
         obs = env.reset().obs
         with pytest.raises(ValueError):
             env.step(obs.num_actions)
+
+    @pytest.mark.parametrize("action", [0.5, -0.5, np.float64(0.7)],
+                             ids=["half", "negative-half", "np-float64"])
+    def test_fractional_action_refused_before_any_change(self, action):
+        env = make_env(tiles=3)
+        env.reset()
+        time, ready = env.sim.time, env.sim.ready.copy()
+        with pytest.raises(ValueError, match=re.escape(f"action {action!r} is not an integer")):
+            env.step(action)
+        assert env.sim.time == time
+        assert np.array_equal(env.sim.ready, ready)
+        env.step(0)  # the pending decision is still open
+
+    def test_numpy_integer_action_accepted(self):
+        plain, numpy_int = make_env(tiles=3), make_env(tiles=3)
+        plain.reset()
+        numpy_int.reset()
+        a = plain.step(0)
+        b = numpy_int.step(np.int64(0))
+        assert a.reward == b.reward and a.done == b.done
+        assert np.array_equal(a.obs.features, b.obs.features)
 
     def test_episode_completes(self):
         env = make_env()

@@ -1,10 +1,12 @@
-"""SimKernel / VecSimulation mechanics: the struct-of-arrays core.
+"""SimKernel mechanics: the struct-of-arrays core.
 
 The K=1 ``Simulation`` view is pinned bit-exactly by the legacy engine suite
 (``test_engine.py`` runs unchanged against the refactored core); this module
 covers what is new — multi-row state, fused transitions, batched starts,
 capacity growth, pickling of shared-kernel members, and communication-model
-parity between the scalar and fused paths.
+parity between the scalar and fused paths.  Rows are built the way a
+vectorised environment builds them: one ``SimKernel`` and a
+``Simulation._attach`` view per row.
 """
 
 import pickle
@@ -21,10 +23,35 @@ from repro.platforms import (
     TypePairComm,
     UniformComm,
 )
-from repro.sim import SimKernel, Simulation, VecSimulation
+from repro.sim import SimKernel, Simulation
 from repro.sim.kernel import IDLE
 
 PLATFORM = Platform(2, 2)
+
+
+def _rows(graphs, noise=None, rngs=(0,), comms=None):
+    """One kernel holding a row per graph; returns ``(kernel, views)``.
+
+    Row k draws from ``np.random.default_rng(rngs[k])`` (one seed is
+    reused for every row) and uses ``comms[k]`` (default: free).
+    """
+    k = len(graphs)
+    rngs = list(rngs) * k if len(rngs) == 1 else list(rngs)
+    comms = comms if comms is not None else [None] * k
+    kernel = SimKernel(PLATFORM, CHOLESKY_DURATIONS, k)
+    views = [
+        Simulation._attach(kernel, row, graph, noise,
+                           np.random.default_rng(rngs[row]), comms[row])
+        for row, graph in enumerate(graphs)
+    ]
+    return kernel, views
+
+
+def _advance(kernel, views):
+    """One fused event step for every unfinished row."""
+    rows = np.asarray([v._row for v in views if not v.done], dtype=np.int64)
+    kernel.advance_rows(rows)
+    return rows
 
 
 def _random_drive(sim, rng):
@@ -55,43 +82,41 @@ class TestKernelBasics:
 
     def test_masked_reinit_leaves_other_rows_untouched(self):
         graph = cholesky_dag(4)
-        vec = VecSimulation([graph, graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        m0 = vec.member(0)
+        kernel, (m0, _m1) = _rows([graph, graph])
         m0.start(int(m0.ready_tasks()[0]), 0)
         m0.advance()
         snapshot = (
-            vec.kernel.time[0],
-            vec.kernel.finished[0].copy(),
-            vec.kernel.trace_len[0],
+            kernel.time[0],
+            kernel.finished[0].copy(),
+            kernel.trace_len[0],
         )
-        vec.kernel.init_row(1, graph)
-        assert vec.kernel.time[0] == snapshot[0]
-        assert np.array_equal(vec.kernel.finished[0], snapshot[1])
-        assert vec.kernel.trace_len[0] == snapshot[2]
-        assert vec.kernel.time[1] == 0.0  # repro-lint: disable=RPR007 -- exact init value, not a float sum
-        assert vec.kernel.trace_len[1] == 0
+        kernel.init_row(1, graph)
+        assert kernel.time[0] == snapshot[0]
+        assert np.array_equal(kernel.finished[0], snapshot[1])
+        assert kernel.trace_len[0] == snapshot[2]
+        assert kernel.time[1] == 0.0  # repro-lint: disable=RPR007 -- exact init value, not a float sum
+        assert kernel.trace_len[1] == 0
 
     def test_capacity_growth_resyncs_views(self):
         small, big = cholesky_dag(3), cholesky_dag(8)
-        vec = VecSimulation([small, small], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        m0, m1 = vec.member(0), vec.member(1)
-        version = vec.kernel.layout_version
+        kernel, (m0, m1) = _rows([small, small])
+        version = kernel.layout_version
         m1.rebind(big)
-        assert vec.kernel.layout_version > version
+        assert kernel.layout_version > version
         # both views must point into the *new* buffers
-        assert m0.ready.base is vec.kernel.ready
+        assert m0.ready.base is kernel.ready
         assert m1.ready.size == big.num_tasks
         m0.start(int(m0.ready_tasks()[0]), 0)
-        assert vec.kernel.running[0].any()
+        assert kernel.running[0].any()
 
     def test_padding_never_becomes_ready(self):
         small, big = cholesky_dag(3), cholesky_dag(8)
-        vec = VecSimulation([small, big], PLATFORM, CHOLESKY_DURATIONS, rng=0)
+        kernel, (m0, _m1) = _rows([small, big])
         rng = np.random.default_rng(0)
-        _random_drive(vec.member(0), rng)
+        _random_drive(m0, rng)
         n = small.num_tasks
-        assert not vec.kernel.ready[0, n:].any()
-        assert vec.member(0).done
+        assert not kernel.ready[0, n:].any()
+        assert m0.done
 
 
 class TestFusedAdvance:
@@ -100,19 +125,16 @@ class TestFusedAdvance:
         graph = cholesky_dag(6)
         k = 4
         seeds = list(range(k))
-        fused = VecSimulation([graph] * k, PLATFORM, CHOLESKY_DURATIONS,
-                              GaussianNoise(0.2), rng=seeds)
+        kernel, fused = _rows([graph] * k, GaussianNoise(0.2), rngs=seeds)
         scalar = [
             Simulation(graph, PLATFORM, CHOLESKY_DURATIONS, GaussianNoise(0.2),
                        rng=np.random.default_rng(s))
             for s in seeds
         ]
-        # identical member streams need identical seed derivation: VecSimulation
-        # given a seed *list* wraps each seed with as_generator, same as above
         pick = np.random.default_rng(99)
-        while not fused.done.all():
+        while not all(sim.done for sim in fused):
             order = []
-            for member, sim in enumerate(fused.members):
+            for member, sim in enumerate(fused):
                 if sim.done:
                     continue
                 ready, idle = sim.ready_tasks(), sim.idle_processors()
@@ -123,35 +145,18 @@ class TestFusedAdvance:
                     ready, idle = sim.ready_tasks(), sim.idle_processors()
             for member, task, proc in order:
                 scalar[member].start(task, proc)
-            rows = np.asarray(
-                [i for i, s in enumerate(fused.members) if not s.done],
-                dtype=np.int64,
-            )
-            fused.advance(rows)
-            for i in rows:
+            for i in _advance(kernel, fused):
                 scalar[i].advance()
         for member, sim in enumerate(scalar):
-            assert fused.member(member).trace == sim.trace
-            assert fused.member(member).makespan == sim.makespan
+            assert fused[member].trace == sim.trace
+            assert fused[member].makespan == sim.makespan
 
     def test_advance_requires_running_work(self):
         graph = cholesky_dag(4)
-        vec = VecSimulation([graph, graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        m0 = vec.member(0)
+        kernel, (m0, _m1) = _rows([graph, graph])
         m0.start(int(m0.ready_tasks()[0]), 0)
         with pytest.raises(RuntimeError, match="no running task"):
-            vec.advance(np.asarray([0, 1]))
-
-    def test_makespans_and_done_masks(self):
-        graph = cholesky_dag(4)
-        vec = VecSimulation([graph, graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        rng = np.random.default_rng(1)
-        _random_drive(vec.member(0), rng)
-        assert list(vec.done) == [True, False]
-        _random_drive(vec.member(1), rng)
-        ms = vec.makespans()
-        assert ms.shape == (2,)
-        assert (ms > 0).all()
+            kernel.advance_rows(np.asarray([0, 1]))
 
 
 class TestStartMany:
@@ -159,39 +164,52 @@ class TestStartMany:
         graph = layered_dag(num_layers=3, width=4, num_types=4, rng=0)
         roots = np.flatnonzero(graph.in_degree == 0)
         assert roots.size >= 2
-        batched = VecSimulation([graph] * 3, PLATFORM, CHOLESKY_DURATIONS,
-                                GaussianNoise(0.3), rng=[0, 1, 2])
-        scalar = VecSimulation([graph] * 3, PLATFORM, CHOLESKY_DURATIONS,
-                               GaussianNoise(0.3), rng=[0, 1, 2])
+        batched, _ = _rows([graph] * 3, GaussianNoise(0.3), rngs=[0, 1, 2])
+        scalar, _ = _rows([graph] * 3, GaussianNoise(0.3), rngs=[0, 1, 2])
         rows = np.asarray([0, 0, 1, 2])
         tasks = np.asarray([roots[0], roots[1], roots[0], roots[1]])
         procs = np.asarray([0, 1, 2, 3])
-        durations = batched.kernel.start_many(rows, tasks, procs)
+        durations = batched.start_many(rows, tasks, procs)
         expected = [
-            scalar.kernel.start_row(int(r), int(t), int(p))
+            scalar.start_row(int(r), int(t), int(p))
             for r, t, p in zip(rows, tasks, procs)
         ]
         assert list(durations) == expected
-        assert np.array_equal(batched.kernel.proc_finish, scalar.kernel.proc_finish)
-        assert np.array_equal(batched.kernel.running, scalar.kernel.running)
+        assert np.array_equal(batched.proc_finish, scalar.proc_finish)
+        assert np.array_equal(batched.running, scalar.running)
+
+    @pytest.mark.parametrize("noise", [NoNoise(), GaussianNoise(0.3)],
+                             ids=["deterministic", "noisy"])
+    def test_single_entry_is_start_row(self, noise):
+        """At one row ``start_many`` is ``start_row``: same duration, same
+        state, same draw from the row's stream."""
+        graph = cholesky_dag(4)
+        root = int(np.flatnonzero(graph.in_degree == 0)[0])
+        batched, (b,) = _rows([graph], noise, rngs=[3])
+        scalar, (s,) = _rows([graph], noise, rngs=[3])
+        durations = batched.start_many([0], [root], [2])
+        assert list(durations) == [scalar.start_row(0, root, 2)]
+        assert np.array_equal(batched.proc_finish, scalar.proc_finish)
+        assert np.array_equal(batched.start_time, scalar.start_time, equal_nan=True)
+        assert b.rng.random() == s.rng.random()
 
     def test_invalid_entry_raises_sequential_error(self):
         graph = cholesky_dag(4)
-        vec = VecSimulation([graph] * 2, PLATFORM, CHOLESKY_DURATIONS, rng=0)
+        kernel, _ = _rows([graph] * 2)
         root = int(np.flatnonzero(graph.in_degree == 0)[0])
         with pytest.raises(ValueError, match="task 999 out of range"):
-            vec.kernel.start_many(
+            kernel.start_many(
                 np.asarray([0, 1]), np.asarray([root, 999]), np.asarray([0, 0])
             )
         # the valid prefix before the offender was applied, as in a loop
-        assert vec.kernel.proc_task[0, 0] == root
+        assert kernel.proc_task[0, 0] == root
 
     def test_duplicate_task_raises_not_ready(self):
         graph = cholesky_dag(4)
-        vec = VecSimulation([graph] * 2, PLATFORM, CHOLESKY_DURATIONS, rng=0)
+        kernel, _ = _rows([graph] * 2)
         root = int(np.flatnonzero(graph.in_degree == 0)[0])
         with pytest.raises(RuntimeError, match=f"task {root} is not ready"):
-            vec.kernel.start_many(
+            kernel.start_many(
                 np.asarray([0, 0]), np.asarray([root, root]), np.asarray([0, 1])
             )
 
@@ -209,39 +227,37 @@ class TestCommParity:
     def test_vec_members_match_standalone(self, comm):
         graph = cholesky_dag(5)
         k = 3
-        vec = VecSimulation([graph] * k, PLATFORM, CHOLESKY_DURATIONS,
-                            NoNoise(), rng=[7, 8, 9], comm=comm)
+        _kernel, views = _rows([graph] * k, NoNoise(), rngs=[7, 8, 9],
+                               comms=[comm] * k)
         for member, seed in enumerate([7, 8, 9]):
             ref = Simulation(graph, PLATFORM, CHOLESKY_DURATIONS, NoNoise(),
                              rng=np.random.default_rng(seed), comm=comm)
-            trace = _random_drive(vec.member(member), np.random.default_rng(50))
+            trace = _random_drive(views[member], np.random.default_rng(50))
             ref_trace = _random_drive(ref, np.random.default_rng(50))
             assert trace == ref_trace
 
     def test_comm_delays_shift_start_times(self):
         graph = cholesky_dag(4)
-        free = VecSimulation([graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        slow = VecSimulation([graph], PLATFORM, CHOLESKY_DURATIONS, rng=0,
-                             comm=UniformComm(10.0))
-        t_free = _random_drive(free.member(0), np.random.default_rng(3))
-        t_slow = _random_drive(slow.member(0), np.random.default_rng(3))
-        assert free.member(0).makespan < slow.member(0).makespan
+        _k, (free,) = _rows([graph])
+        _k, (slow,) = _rows([graph], comms=[UniformComm(10.0)])
+        t_free = _random_drive(free, np.random.default_rng(3))
+        t_slow = _random_drive(slow, np.random.default_rng(3))
+        assert free.makespan < slow.makespan
         assert len(t_free) == len(t_slow)
 
     def test_fused_advance_respects_comm(self):
         """Cross-row fused advance with per-row comm models stays row-exact."""
         graph = cholesky_dag(5)
         comms = [NoComm(), UniformComm(2.0), TypePairComm([[0.0, 5.0], [5.0, 0.0]])]
-        fused = VecSimulation([graph] * 3, PLATFORM, CHOLESKY_DURATIONS,
-                              rng=[1, 2, 3], comm=comms)
+        kernel, fused = _rows([graph] * 3, rngs=[1, 2, 3], comms=comms)
         refs = [
             Simulation(graph, PLATFORM, CHOLESKY_DURATIONS,
                        rng=np.random.default_rng(seed), comm=comm)
             for seed, comm in zip([1, 2, 3], comms)
         ]
         pick = np.random.default_rng(11)
-        while not fused.done.all():
-            for member, sim in enumerate(fused.members):
+        while not all(sim.done for sim in fused):
+            for member, sim in enumerate(fused):
                 if sim.done:
                     continue
                 ready, idle = sim.ready_tasks(), sim.idle_processors()
@@ -250,84 +266,55 @@ class TestCommParity:
                     sim.start(task, proc)
                     refs[member].start(task, proc)
                     ready, idle = sim.ready_tasks(), sim.idle_processors()
-            rows = np.asarray(
-                [i for i, s in enumerate(fused.members) if not s.done],
-                dtype=np.int64,
-            )
-            fused.advance(rows)
-            for i in rows:
+            for i in _advance(kernel, fused):
                 refs[i].advance()
         for member, ref in enumerate(refs):
-            assert fused.member(member).trace == ref.trace
-
-
-class TestExpectedRemainingRows:
-    def test_matches_per_member_query(self):
-        graph = cholesky_dag(5)
-        vec = VecSimulation([graph] * 3, PLATFORM, CHOLESKY_DURATIONS,
-                            GaussianNoise(0.2), rng=[0, 1, 2])
-        for sim in vec.members:
-            ready = sim.ready_tasks()
-            sim.start(int(ready[0]), 0)
-        vec.advance(np.asarray([0]))  # desynchronise the clocks
-        rows = np.asarray([0, 1, 2])
-        fused = vec.kernel.expected_remaining_rows(rows)
-        for i, sim in enumerate(vec.members):
-            all_procs = np.arange(PLATFORM.num_processors)
-            busy = sim.busy_processors()
-            expected = np.zeros(PLATFORM.num_processors)
-            if busy.size:
-                expected[busy] = sim.expected_remaining_many(busy)
-            assert np.array_equal(fused[i], expected), (i, fused[i], expected)
-            del all_procs
+            assert fused[member].trace == ref.trace
 
 
 class TestPickling:
     def test_mid_episode_roundtrip_resumes_identically(self):
         graph = cholesky_dag(5)
-        vec = VecSimulation([graph] * 2, PLATFORM, CHOLESKY_DURATIONS,
-                            GaussianNoise(0.2), rng=[0, 1])
+        kernel, views = _rows([graph] * 2, GaussianNoise(0.2), rngs=[0, 1])
         pick = np.random.default_rng(5)
-        for sim in vec.members:
+        for sim in views:
             sim.start(int(pick.choice(sim.ready_tasks())), 0)
-        vec.advance(np.asarray([0, 1]))
-        clone = pickle.loads(pickle.dumps(vec))
-        assert clone.kernel is not vec.kernel
-        for a, b in zip(vec.members, clone.members):
-            assert b._kernel is clone.kernel  # views re-register on restore
+        kernel.advance_rows(np.asarray([0, 1]))
+        clone_kernel, clone_views = pickle.loads(pickle.dumps((kernel, views)))
+        assert clone_kernel is not kernel
+        for view in clone_views:
+            assert view._kernel is clone_kernel  # views re-register on restore
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        traces_a = [_random_drive(s, rng_a) for s in vec.members]
-        traces_b = [_random_drive(s, rng_b) for s in clone.members]
+        traces_a = [_random_drive(s, rng_a) for s in views]
+        traces_b = [_random_drive(s, rng_b) for s in clone_views]
         assert traces_a == traces_b
 
     def test_old_pickle_rebuilds_task_types(self):
         """A kernel pickled before ``task_types`` existed restores it from
         its row graphs, and the type gathers read the same integers."""
         graphs = [cholesky_dag(3), cholesky_dag(5)]
-        vec = VecSimulation(graphs, PLATFORM, CHOLESKY_DURATIONS, rng=[0, 1])
-        for sim in vec.members:
+        kernel, views = _rows(graphs, rngs=[0, 1])
+        for sim in views:
             sim.start(int(sim.ready_tasks()[0]), 0)
-        state = vec.kernel.__getstate__()
+        state = kernel.__getstate__()
         del state["task_types"]
         clone = SimKernel.__new__(SimKernel)
         clone.__setstate__(state)
-        assert np.array_equal(clone.task_types, vec.kernel.task_types)
+        assert np.array_equal(clone.task_types, kernel.task_types)
         for row, graph in enumerate(graphs):
             assert np.array_equal(
                 clone.task_types[row, : graph.num_tasks], graph.task_types
             )
         rows = np.asarray([0, 1])
-        assert np.array_equal(
-            clone.expected_remaining_rows(rows),
-            vec.kernel.expected_remaining_rows(rows),
-        )
+        for got, want in zip(clone.busy_remaining(rows), kernel.busy_remaining(rows)):
+            assert np.array_equal(got, want)
 
     def test_kernel_pickle_drops_metric_handles(self):
         graph = cholesky_dag(4)
-        vec = VecSimulation([graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        _random_drive(vec.member(0), np.random.default_rng(0))
-        clone = pickle.loads(pickle.dumps(vec))
-        assert clone.kernel._metric_handles is None
+        kernel, (view,) = _rows([graph])
+        _random_drive(view, np.random.default_rng(0))
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone._metric_handles is None
 
 
 class TestMetricHandleCache:
@@ -338,14 +325,14 @@ class TestMetricHandleCache:
         obs.METRICS.reset()
         obs.METRICS.enabled = True
         try:
-            vec = VecSimulation([graph], PLATFORM, CHOLESKY_DURATIONS, rng=0)
-            _random_drive(vec.member(0), np.random.default_rng(0))
+            _kernel, (view,) = _rows([graph])
+            _random_drive(view, np.random.default_rng(0))
             first = obs.METRICS.counter("sim/tasks_started").value
             assert first == graph.num_tasks
             obs.METRICS.reset()  # bumps the generation; stale handles must die
             obs.METRICS.enabled = True
-            vec.member(0).rebind(graph)
-            _random_drive(vec.member(0), np.random.default_rng(0))
+            view.rebind(graph)
+            _random_drive(view, np.random.default_rng(0))
             assert obs.METRICS.counter("sim/tasks_started").value == graph.num_tasks
         finally:
             obs.METRICS.reset()
@@ -359,8 +346,8 @@ class TestMetricHandleCache:
         obs.METRICS.reset()
         obs.METRICS.enabled = True
         try:
-            vec = VecSimulation([graph] * 2, PLATFORM, CHOLESKY_DURATIONS, rng=0)
-            vec.kernel.start_many(
+            kernel, _ = _rows([graph] * 2)
+            kernel.start_many(
                 np.asarray([0, 1]), np.asarray([root, root]), np.asarray([0, 1])
             )
             assert obs.METRICS.counter("sim/tasks_started").value == 2

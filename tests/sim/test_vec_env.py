@@ -1,5 +1,7 @@
 """VecSchedulingEnv: lockstep stepping, auto-reset, seeding, validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,28 @@ class TestStepping:
         vec.reset().obs
         with pytest.raises(ValueError, match="actions"):
             vec.step([0])
+
+    @pytest.mark.parametrize("action", [0.5, -0.5, np.float64(0.7)],
+                             ids=["half", "negative-half", "np-float64"])
+    def test_fractional_action_refused_before_any_member_changes(self, action):
+        vec = make_vec(2, tiles=3)
+        vec.reset()
+        times = [env.sim.time for env in vec.envs]
+        ready = [env.sim.ready.copy() for env in vec.envs]
+        with pytest.raises(ValueError, match=re.escape(f"action {action!r} is not an integer")):
+            vec.step([0, action])  # member 0's valid action is not applied
+        assert [env.sim.time for env in vec.envs] == times
+        for env, before in zip(vec.envs, ready):
+            assert np.array_equal(env.sim.ready, before)
+
+    def test_numpy_integer_actions_accepted(self):
+        a, b = make_vec(2, tiles=3), make_vec(2, tiles=3)
+        a.reset()
+        b.reset()
+        step_a = a.step([0, 0])
+        step_b = b.step(np.zeros(2, dtype=np.int64))
+        assert np.array_equal(step_a.rewards, step_b.rewards)
+        assert np.array_equal(step_a.obs.feats, step_b.obs.feats)
 
     def test_auto_reset_returns_fresh_observation(self):
         # tiles=2 episodes are short; always picking action 0 finishes them

@@ -16,9 +16,7 @@ import pytest
 
 from repro.graphs import CHOLESKY_DURATIONS, cholesky_dag, workloads
 from repro.platforms import CPU, GPU, GaussianNoise, NoNoise, Platform
-from repro.schedulers.heft import heft_schedule
-from repro.schedulers.static_executor import run_static, run_static_vec
-from repro.sim import SchedulingEnv, Simulation, VecSchedulingEnv, VecSimulation
+from repro.sim import SchedulingEnv, VecSchedulingEnv
 from repro.sim.state import build_observations
 from repro.sim.streaming import (
     PoissonArrivals,
@@ -314,36 +312,3 @@ def test_k1_fused_matches_single_env_stream():
         assert bool(step_v.dones[0]) == step_p.done
         obs_v = step_v.obs[0]
         obs_p = step_p.obs if not step_p.done else plain.reset().obs
-
-
-class TestStaticReplayVec:
-    def test_matches_per_member_replay_deterministic(self):
-        graph = cholesky_dag(6)
-        schedule = heft_schedule(graph, PLATFORM, CHOLESKY_DURATIONS)
-        k = 5
-        vec = VecSimulation([graph] * k, PLATFORM, CHOLESKY_DURATIONS,
-                            NoNoise(), rng=0)
-        makespans = run_static_vec(vec, [schedule] * k)
-        ref_sim = Simulation(graph, PLATFORM, CHOLESKY_DURATIONS, NoNoise(), rng=0)
-        ref = run_static(ref_sim, schedule, rng=42)
-        assert np.allclose(makespans, ref)
-        for member in range(k):
-            vec.member(member).check_trace()
-            assert vec.member(member).trace == ref_sim.trace
-
-    def test_noisy_replay_traces_are_valid(self):
-        graph = cholesky_dag(5)
-        schedule = heft_schedule(graph, PLATFORM, CHOLESKY_DURATIONS)
-        vec = VecSimulation([graph] * 4, PLATFORM, CHOLESKY_DURATIONS,
-                            GaussianNoise(0.3), rng=11)
-        makespans = run_static_vec(vec, [schedule] * 4)
-        assert (makespans >= schedule.makespan * 0.5).all()
-        for member in range(4):
-            vec.member(member).check_trace()
-
-    def test_schedule_count_mismatch_raises(self):
-        graph = cholesky_dag(4)
-        schedule = heft_schedule(graph, PLATFORM, CHOLESKY_DURATIONS)
-        vec = VecSimulation([graph] * 2, PLATFORM, CHOLESKY_DURATIONS, rng=0)
-        with pytest.raises(ValueError, match="expected 2 schedules, got 1"):
-            run_static_vec(vec, [schedule])
